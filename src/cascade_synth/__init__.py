@@ -45,7 +45,6 @@ from .model import (
     PassiveForm,
     RealMatrix,
     SlhSystem,
-    StructuralConstants,
     annihilation_map,
     build_state_space,
     drift_matrix,
@@ -107,7 +106,6 @@ __all__ = [
     "ScatteringMismatch",
     "SchurLower",
     "SlhSystem",
-    "StructuralConstants",
     "SymplecticTransform",
     "SystemDocument",
     "TransferSample",

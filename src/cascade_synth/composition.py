@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import BadResidual, FieldCountMismatch
-from .model import RealMatrix, SlhSystem, max_abs
+from .model import RealMatrix, SlhSystem, pair_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +26,8 @@ class CascadeChain:
     stages[0] receives the input field first; stages[-1] emits the output.
     residual_r, when present, is a real symmetric 2n x 2n matrix with zero
     2x2 diagonal blocks that couples distinct stages directly (a bilinear
-    interaction on top of the field-mediated cascade).
+    interaction on top of the field-mediated cascade).  Every stage must
+    pass SlhSystem.validate; cascade relies on unitary stage scatterings.
     """
 
     stages: tuple[SlhSystem, ...]
@@ -43,6 +44,7 @@ class CascadeChain:
                 raise FieldCountMismatch(
                     f"stage {idx} has {stage.m} fields, stage 0 has {stages[0].m}"
                 )
+            stage.validate()
         object.__setattr__(self, "stages", stages)
         if self.residual_r is not None:
             rd = np.array(self.residual_r, dtype=float)
@@ -52,9 +54,10 @@ class CascadeChain:
                 raise BadResidual(f"residual must be {nn} x {nn}, got {rd.shape}")
             if not np.array_equal(rd, rd.T):
                 raise BadResidual("residual matrix must be symmetric")
-            for j in range(len(stages)):
-                if max_abs(rd[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]) != 0.0:
-                    raise BadResidual(f"residual diagonal block {j} must be zero")
+            modes = np.arange(len(stages))
+            bad = np.flatnonzero(pair_blocks(rd)[modes, modes].any(axis=(1, 2)))
+            if bad.size:
+                raise BadResidual(f"residual diagonal block {bad[0]} must be zero")
             object.__setattr__(self, "residual_r", rd)
 
     @property
@@ -106,38 +109,51 @@ def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:
     )
 
 
+def _strict_lower(a) -> RealMatrix:
+    """Copy of a 2n x 2n matrix with every 2x2 block on or above the block
+    diagonal set to zero."""
+    out = np.array(a, dtype=float, order="C")
+    pair_blocks(out)[~np.tri(out.shape[0] // 2, k=-1, dtype=bool)] = 0.0
+    return out
+
+
+def _field_coupling(k) -> RealMatrix:
+    """The field-mediated coupling of a cascade: the strictly lower 2x2-block
+    part of Im(K^dag K), whose block (j, k), j > k, is Im(K_j^dag K_k) for
+    the column pairs K_j, K_k of K."""
+    return _strict_lower(np.imag(k.conj().T @ k))
+
+
 def cascade(chain: CascadeChain) -> SlhSystem:
     """Collapse a chain into a single n-mode system.
 
     Equivalent to folding the series product over the stages (plus the
     residual interaction, if any), assembled directly: S is the product of
-    the stage scatterings, column block j of K is the stage coupling K_j
-    premultiplied by the scatterings downstream of stage j, the diagonal
-    blocks of R are the stage Hamiltonians, and the lower block (j, k),
-    j > k, is Im(K_j^dag S_j ... S_{k+1} K_k).
+    the stage scatterings, column pair j of K is the stage coupling
+    premultiplied by D_j = S_{n-1} ... S_{j+1}, the diagonal blocks of R are
+    the stage Hamiltonians, and the lower block (j, k), j > k, is the series
+    coupling Im(K_j^dag S_j ... S_{k+1} K_k) of the stages.  Precondition:
+    every stage scattering is unitary (CascadeChain checks it), so that
+    S_j ... S_{k+1} = D_j^dag D_k and the block equals Im(K_j^dag K_k) on
+    column pairs of the collapsed K, the coupling residual_interaction
+    subtracts.
     """
     stages = chain.stages
     n, m = chain.n, chain.m
     k = np.zeros((m, 2 * n), dtype=complex)
+    hamiltonians = np.zeros((n, 2, 2))
     acc = np.eye(m, dtype=complex)
     for j in reversed(range(n)):
         k[:, 2 * j : 2 * j + 2] = acc @ stages[j].k
+        hamiltonians[j] = stages[j].r
         acc = acc @ stages[j].s
-    s = acc
-    r = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = stages[j].r
-    for j in range(1, n):
-        acc = stages[j].s
-        for kk in range(j - 1, -1, -1):
-            blk = np.imag(stages[j].k.conj().T @ acc @ stages[kk].k)
-            r[2 * j : 2 * j + 2, 2 * kk : 2 * kk + 2] = blk
-            r[2 * kk : 2 * kk + 2, 2 * j : 2 * j + 2] = blk.T
-            if kk > 0:
-                acc = acc @ stages[kk].s
+    coupling = _field_coupling(k)
+    r = coupling + coupling.T
+    modes = np.arange(n)
+    pair_blocks(r)[modes, modes] = hamiltonians
     if chain.residual_r is not None:
         r = r + chain.residual_r
-    return SlhSystem(s=s, k=k, r=r)
+    return SlhSystem(s=acc, k=k, r=r)
 
 
 def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
@@ -149,36 +165,29 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     exactly once the residual interaction is added back, and with no
     residual at all when the drift matrix is lower 2x2-block triangular.
     """
-    stages = []
+    blocks = pair_blocks(sys.r)
     eye = np.eye(sys.m, dtype=complex)
-    for j in range(sys.n):
-        stages.append(
-            SlhSystem(
-                s=sys.s if j == 0 else eye,
-                k=sys.k[:, 2 * j : 2 * j + 2],
-                r=sys.r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2],
-            )
+    return tuple(
+        SlhSystem(
+            s=sys.s if j == 0 else eye,
+            k=sys.k[:, 2 * j : 2 * j + 2],
+            r=blocks[j, j],
         )
-    return tuple(stages)
+        for j in range(sys.n)
+    )
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:
     """Return the direct-interaction Hamiltonian matrix left over after
     splitting a system into its one-mode stages.
 
-    The result has zero 2x2 diagonal blocks; the block above the diagonal at
-    (j, k), j < k, equals R_jk - Im(K_k^dag K_j)^T, completed symmetrically
-    below.  It vanishes exactly when the system is a pure cascade of its own
-    stages (first stage carrying S, identity scattering afterwards).
+    The result has zero 2x2 diagonal blocks; the block below the diagonal
+    at (j, k), j > k, equals R_jk - Im(K_j^dag K_k), the Hamiltonian block
+    minus the field coupling that cascade would place there, mirrored above
+    so the result is exactly symmetric.  It vanishes exactly when the system
+    is a pure cascade of its own stages (first stage carrying S, identity
+    scattering afterwards), and residual_interaction(cascade(chain)) is
+    exactly zero for every chain.
     """
-    n = sys.n
-    rd = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        kj = sys.k[:, 2 * j : 2 * j + 2]
-        for kk in range(j + 1, n):
-            blk = sys.r[2 * j : 2 * j + 2, 2 * kk : 2 * kk + 2] - np.imag(
-                sys.k[:, 2 * kk : 2 * kk + 2].conj().T @ kj
-            ).T
-            rd[2 * j : 2 * j + 2, 2 * kk : 2 * kk + 2] = blk
-            rd[2 * kk : 2 * kk + 2, 2 * j : 2 * j + 2] = blk.T
-    return rd
+    lower = _strict_lower(sys.r) - _field_coupling(sys.k)
+    return lower + lower.T

@@ -34,7 +34,7 @@ J2.setflags(write=False)
 def max_abs(a) -> float:
     """Max-norm of a matrix (0 for empty arrays)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def symplectic_form(n: int) -> RealMatrix:
@@ -55,6 +55,15 @@ def annihilation_map(n: int) -> ComplexMatrix:
         sg[j, 2 * j] = 0.5
         sg[j, 2 * j + 1] = 0.5j
     return sg
+
+
+def pair_blocks(a):
+    """Return the (n, n, 2, 2) block view of a 2n x 2n matrix: entry [j, k]
+    is the 2x2 block coupling mode j to mode k on the (q1, p1, ..., qn, pn)
+    ordering.  The view shares memory with a C-contiguous a, so writes
+    through it reach the matrix."""
+    n = a.shape[0] // 2
+    return a.reshape(n, 2, n, 2).swapaxes(1, 2)
 
 
 def _readonly(a):
@@ -80,31 +89,6 @@ def _as_real(value, name):
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return _readonly(a)
-
-
-@dataclass(frozen=True, eq=False)
-class StructuralConstants:
-    """The fixed matrices attached to an n-mode phase space.
-
-    j is the 2x2 block [[0, 1], [-1, 0]], theta = diag(j, ..., j) is the
-    symplectic form, and sigma maps quadratures to annihilation variables.
-    """
-
-    j: RealMatrix
-    theta: RealMatrix
-    sigma: ComplexMatrix
-
-    @classmethod
-    def for_modes(cls, n: int) -> "StructuralConstants":
-        return cls(
-            j=J2,
-            theta=_readonly(symplectic_form(n)),
-            sigma=_readonly(annihilation_map(n)),
-        )
-
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .composition import CascadeChain
-from .errors import ConvergenceFailure, NonUnitaryInput, NotPassive
+from .errors import ConvergenceFailure, NonUnitaryInput
 from .model import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -26,7 +26,6 @@ from .model import (
     RealMatrix,
     SlhSystem,
     annihilation_map,
-    is_passive,
     max_abs,
     symplectic_form,
     to_passive_form,
@@ -154,15 +153,17 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     same transfer function as the input and a lower 2x2-block-triangular
     drift matrix, together with the symplectic transform V and the cascade
     chain of one-mode stages.  Every stage is itself passive, with diagonal
-    Hamiltonian blocks that are real multiples of the identity.
+    Hamiltonian blocks that are real multiples of the identity.  V R V^T is
+    symmetrized, (X + X^T)/2, so that its rounding asymmetry, which grows
+    with |R|, never trips the symmetry check of a later certification.
+    Raises NotPassive, through to_passive_form, for a non-passive input.
     """
-    if not is_passive(sys, tol):
-        raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
     pf = to_passive_form(sys, tol)
     factored = schur_lower(mode_matrix(pf))
     transform = build_symplectic(factored.u, tol)
     v = transform.v
-    transformed = SlhSystem(s=sys.s, k=sys.k @ v.T, r=v @ sys.r @ v.T)
+    r = v @ sys.r @ v.T
+    transformed = SlhSystem(s=sys.s, k=sys.k @ v.T, r=(r + r.T) / 2)
     return PassiveRealization(
         system=transformed,
         transform=transform,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .composition import CascadeChain, one_mode_stages
 from .errors import NotCascadeRealizable
-from .model import DEFAULT_TOL, SlhSystem, drift_matrix, max_abs
+from .model import DEFAULT_TOL, SlhSystem, drift_matrix, max_abs, pair_blocks
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,7 @@ class TriangularityReport:
 def is_cascade_realizable(sys: SlhSystem, tol=DEFAULT_TOL) -> TriangularityReport:
     """Test whether the drift matrix is lower 2x2-block triangular."""
     a = drift_matrix(sys)
-    residual = 0.0
-    for j in range(sys.n):
-        for k in range(j + 1, sys.n):
-            residual = max(residual, max_abs(a[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]))
+    residual = max_abs(pair_blocks(a)[~np.tri(sys.n, dtype=bool)])
     scale = max(1.0, max_abs(a))
     return TriangularityReport(
         is_triangular=residual <= tol * scale,

@@ -86,11 +86,14 @@ def certify_equivalence(
 
     Draws s = sigma + i*omega with sigma uniform in [0.5, 2]*scale and omega
     uniform in [-2, 2]*scale, scale = max(1, |A1|_max, |A2|_max), rejecting
-    points within 1e-6*scale of either spectrum.  Two rational matrix
-    functions of bounded degree agreeing at that many generic right-half-plane
-    points (and at infinity, through the D term) leaves no room for a
-    mismatch beyond the sampled residual.
+    points within 1e-6*scale of either spectrum.  The check is probabilistic:
+    G has McMillan degree up to 2n, and agreement at the sampled points (and
+    at infinity, through the D term) bounds the mismatch only at those
+    points.  Raises ValueError when n_samples < 1, since no samples would
+    certify anything.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if g.n != g2.n or g.m != g2.m:
         raise ValueError(
             f"systems must share mode and field counts, got "
@@ -113,7 +116,7 @@ def certify_equivalence(
     attempts = 0
     while accepted < n_samples:
         attempts += 1
-        if attempts > 1000 * max(n_samples, 1):
+        if attempts > 1000 * n_samples:
             raise RuntimeError("frequency sampling stalled near the spectra")
         s = complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)) * scale
         if spectrum.size and np.min(np.abs(spectrum - s)) < SPECTRUM_REJECT * scale:
@@ -133,7 +136,8 @@ def certify_equivalence(
 
 def certify_symplectic(v, tol: float = 1e-9) -> bool:
     """True when the real matrix V preserves the symplectic form within
-    tolerance, |V Theta V^T - Theta|_max <= tol."""
+    tolerance: its ccr_preservation residual |V Theta V^T - Theta|_max is at
+    most tol.  A non-finite V is an input error (ValueError)."""
     if np.iscomplexobj(np.asarray(v)):
         raise ValueError("V must be real")
     v = np.asarray(v, dtype=float)
@@ -141,8 +145,7 @@ def certify_symplectic(v, tol: float = 1e-9) -> bool:
         raise ValueError(f"V must be square, got {v.shape}")
     if v.shape[0] % 2:
         raise OddDimension(f"V must have even dimension, got {v.shape[0]}")
-    th = symplectic_form(v.shape[0] // 2)
-    return max_abs(v @ th @ v.T - th) <= tol
+    return ccr_preservation(SymplecticTransform(v=v)) <= tol
 
 
 def ccr_preservation(transform: SymplecticTransform) -> float:

@@ -213,6 +213,15 @@ class TestVerify:
         code, payload = run_cli(capsys, "verify", path, other)
         assert code == 1 and payload["kind"] == "input"
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_input_error(self, capsys, tmp_path, cascade_doc, samples):
+        path, combined, _ = cascade_doc
+        bumped = SlhSystem(s=combined.s, k=1.01 * combined.k, r=combined.r)
+        other = write_doc(tmp_path, "bumped.json", SystemDocument.from_system(bumped))
+        code, payload = run_cli(capsys, "verify", path, other, "--samples", samples)
+        assert code == 1 and payload["kind"] == "input"
+        assert "verdict" not in payload
+
 
 class TestEnvironmentTolerance:
     @pytest.fixture

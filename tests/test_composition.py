@@ -11,6 +11,7 @@ from cascade_synth import (
     BadResidual,
     CascadeChain,
     FieldCountMismatch,
+    NonUnitaryScattering,
     SlhSystem,
     cascade,
     concatenation,
@@ -156,7 +157,7 @@ class TestCascade:
         folded = functools.reduce(lambda acc, g: series(g, acc), chain.stages)
         assert_systems_close(cascade(chain), folded, 1e-12)
 
-    @given(st.integers(1, 6), st.integers(1, 4), seeds)
+    @given(st.integers(1, 7), st.integers(1, 4), seeds)
     @settings(max_examples=25, deadline=None)
     def test_output_is_lower_block_triangular(self, n, m, seed):
         combined = cascade(random_chain(n, m, seed))
@@ -164,6 +165,9 @@ class TestCascade:
         for j in range(n):
             for k in range(j + 1, n):
                 assert max_abs(closed[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]) <= 1e-12
+        # cascade and residual_interaction share one coupling formula, so the
+        # residual cancels bit for bit, whatever the stage scatterings
+        assert max_abs(residual_interaction(combined)) == 0.0
 
     def test_chain_validation(self):
         stage = random_system(1, 2, 0)
@@ -173,6 +177,10 @@ class TestCascade:
             CascadeChain(stages=(random_system(2, 2, 0),))
         with pytest.raises(FieldCountMismatch):
             CascadeChain(stages=(stage, random_system(1, 3, 0)))
+        # cascade's coupling formula needs unitary stage scatterings
+        leaky = SlhSystem(s=(1.0 + 1e-6) * stage.s, k=stage.k, r=stage.r)
+        with pytest.raises(NonUnitaryScattering):
+            CascadeChain(stages=(stage, leaky))
 
     def test_residual_validation(self):
         stage = random_system(1, 2, 0)

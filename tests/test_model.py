@@ -12,7 +12,6 @@ from cascade_synth import (
     NotPassive,
     PassiveForm,
     SlhSystem,
-    StructuralConstants,
     annihilation_map,
     build_state_space,
     drift_matrix,
@@ -99,13 +98,6 @@ class TestStructuralConstants:
         left = 2 * np.hstack([sg.conj().T, sg.T])
         right = np.vstack([sg, sg.conj()])
         assert np.array_equal(left @ right, np.eye(2 * n))
-
-    def test_for_modes_bundles_the_module_functions(self):
-        sc = StructuralConstants.for_modes(3)
-        assert sc.n == 3
-        assert np.array_equal(sc.j, J2)
-        assert np.array_equal(sc.theta, symplectic_form(3))
-        assert np.array_equal(sc.sigma, annihilation_map(3))
 
 
 class TestSlhSystem:

@@ -12,7 +12,7 @@ from cascade_synth import (
     NotPassive,
     PassiveForm,
     SlhSystem,
-    StructuralConstants,
+    annihilation_map,
     build_symplectic,
     cascade,
     certify_symplectic,
@@ -73,9 +73,9 @@ def multiset_distance(a, b):
 
 
 def congruence_residual(sys, m_mat):
-    sc = StructuralConstants.for_modes(sys.n)
-    doubling = np.vstack([sc.sigma, sc.sigma.conj()])
-    right = np.hstack([sc.sigma.conj().T, sc.sigma.T])
+    sigma = annihilation_map(sys.n)
+    doubling = np.vstack([sigma, sigma.conj()])
+    right = np.hstack([sigma.conj().T, sigma.T])
     lhs = doubling @ drift_matrix(sys) @ right
     return max_abs(lhs - block_diag(m_mat, m_mat.conj()))
 
@@ -178,7 +178,7 @@ class TestBuildSymplectic:
                 blk = v[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
                 expected = u[i, j].real * np.eye(2) - u[i, j].imag * J2
                 assert np.array_equal(blk, expected)
-        sigma = StructuralConstants.for_modes(3).sigma
+        sigma = annihilation_map(3)
         assert np.array_equal(sigma @ v, u @ sigma)
 
     def test_properties_random(self):
@@ -223,9 +223,9 @@ class TestPassiveRealize:
     def test_reference_closed_form_triangularity(self, reference_system):
         realization = passive_realize(reference_system)
         dec = schur_lower(mode_matrix(to_passive_form(reference_system)))
-        sc = StructuralConstants.for_modes(2)
+        sigma = annihilation_map(2)
         lhs = realization.transform.v @ drift_matrix(reference_system) @ realization.transform.v.T
-        rhs = 8.0 * np.real(sc.sigma.conj().T @ dec.m_hat @ sc.sigma)
+        rhs = 8.0 * np.real(sigma.conj().T @ dec.m_hat @ sigma)
         assert max_abs(lhs - rhs) <= 1e-9
 
     @given(st.integers(1, 5), st.integers(1, 4), seeds)
@@ -238,16 +238,31 @@ class TestPassiveRealize:
         assert certify_symplectic(transform.v, tol=1e-9)
         assert np.array_equal(moved.s, sys.s)
         assert max_abs(moved.k - sys.k @ transform.v.T) == 0.0
-        assert max_abs(moved.r - transform.v @ sys.r @ transform.v.T) == 0.0
+        rotated = transform.v @ sys.r @ transform.v.T
+        assert max_abs(moved.r - (rotated + rotated.T) / 2) == 0.0
+        assert np.array_equal(moved.r, moved.r.T)
         assert chain.n == n and chain.residual_r is None
         assert certify_equivalence(sys, moved).verdict
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_scale_realization_certifies(self, seed):
+        # |R| ~ 3e7: unsymmetrized, V R V^T carries ~1e-8 of rounding asymmetry
+        pf = random_passive_form(6, 3, seed)
+        big = PassiveForm(r_tilde=1e8 * pf.r_tilde, k_tilde=1e4 * pf.k_tilde)
+        sys = from_passive_form(big, random_unitary(3, seed + 100))
+        moved, _, chain = passive_realize(sys)
+        assert np.array_equal(moved.r, moved.r.T)
+        assert is_cascade_realizable(moved).is_triangular
+        assert all(is_passive(stage) for stage in chain.stages)
+        report = certify_equivalence(sys, moved)
+        assert report.verdict and report.max_rel_mismatch <= 1e-12
 
     @given(st.integers(1, 5), st.integers(1, 4), seeds)
     @settings(max_examples=25, deadline=None)
     def test_stages_are_passive_one_mode_systems(self, n, m, seed):
         sys = random_passive_system(n, m, seed)
         _, _, chain = passive_realize(sys)
-        sigma1 = StructuralConstants.for_modes(1).sigma
+        sigma1 = annihilation_map(1)
         for stage in chain.stages:
             assert is_passive(stage)
             scale = max(1.0, max_abs(stage.k))

@@ -159,6 +159,13 @@ class TestCertifyEquivalence:
         report = certify_equivalence(sys, sys, n_samples=7)
         assert report.samples_used == 7
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_rejected(self, n_samples):
+        sys = random_system(2, 2, 3)
+        bumped = SlhSystem(s=sys.s, k=1.01 * sys.k, r=sys.r)
+        with pytest.raises(ValueError, match="n_samples"):
+            certify_equivalence(sys, bumped, n_samples=n_samples)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             certify_equivalence(random_system(1, 1, 0), random_system(2, 1, 0))

@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .composition import cascade
 from .documents import RealizationDocument, SystemDocument
 from .errors import (
     CascadeSynthError,
@@ -25,7 +26,7 @@ from .errors import (
     ResolventSingular,
     ScatteringMismatch,
 )
-from .model import DEFAULT_TOL, build_state_space, is_passive
+from .model import DEFAULT_TOL, SlhSystem, build_state_space, is_passive, max_abs
 from .passive import passive_realize
 from .realizability import decompose_cascade, is_cascade_realizable
 from .verification import certify_equivalence, ccr_preservation, transfer_function
@@ -105,6 +106,15 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _relative_mismatch(g: SlhSystem, ref: SlhSystem) -> float:
+    """Largest entrywise mismatch of S, K and R, each relative to the
+    max-norm of the reference matrix (absolute where that is zero)."""
+    return max(
+        max_abs(x - y) / (max_abs(y) or 1.0)
+        for x, y in ((g.s, ref.s), (g.k, ref.k), (g.r, ref.r))
+    )
+
+
 def cmd_passive_realize(args) -> int:
     """Run the passive synthesis pipeline and certify every result."""
     tol = _resolve_tol(args)
@@ -123,6 +133,8 @@ def cmd_passive_realize(args) -> int:
     stages_passive = all(
         is_passive(stage, tol) for stage in realization.chain.stages
     )
+    # the document carries the stages, so they must rebuild the certified system
+    chain_residual = _relative_mismatch(cascade(realization.chain), realization.system)
     document = RealizationDocument(
         input_digest=doc.digest(),
         stages=realization.chain.stages,
@@ -132,6 +144,7 @@ def cmd_passive_realize(args) -> int:
             "symplectic_residual": symplectic_residual,
             "equivalence": asdict(equivalence),
             "stages_passive": stages_passive,
+            "chain_residual": chain_residual,
         },
     )
     _write_out(args, document)
@@ -141,6 +154,7 @@ def cmd_passive_realize(args) -> int:
         and symplectic_residual <= tol
         and equivalence.verdict
         and stages_passive
+        and chain_residual <= tol
     )
     return EXIT_OK if certified else EXIT_VERDICT
 

@@ -13,10 +13,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .errors import BadResidual, FieldCountMismatch
-from .model import RealMatrix, SlhSystem, pair_blocks
+from .errors import BadResidual, FieldCountMismatch, NonSymmetricR, NonUnitaryScattering
+from .model import (
+    DEFAULT_TOL,
+    RealMatrix,
+    SlhSystem,
+    block_diag,
+    pair_blocks,
+    validation_defects,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +33,8 @@ class CascadeChain:
     residual_r, when present, is a real symmetric 2n x 2n matrix with zero
     2x2 diagonal blocks that couples distinct stages directly (a bilinear
     interaction on top of the field-mediated cascade).  Every stage must
-    pass SlhSystem.validate; cascade relies on unitary stage scatterings.
+    pass SlhSystem.validate, checked over the stacked stage matrices in one
+    pass; cascade relies on unitary stage scatterings.
     """
 
     stages: tuple[SlhSystem, ...]
@@ -37,14 +44,33 @@ class CascadeChain:
         stages = tuple(self.stages)
         if not stages:
             raise ValueError("a chain needs at least one stage")
-        for idx, stage in enumerate(stages):
-            if stage.n != 1:
-                raise ValueError(f"stage {idx} has {stage.n} modes, expected 1")
-            if stage.m != stages[0].m:
-                raise FieldCountMismatch(
-                    f"stage {idx} has {stage.m} fields, stage 0 has {stages[0].m}"
+        # one stacked validation over the stages before the first one of
+        # another shape; the lowest failing stage raises, as a loop would
+        shaped = next(
+            (idx for idx, st in enumerate(stages) if st.n != 1 or st.m != stages[0].m),
+            len(stages),
+        )
+        if shaped:
+            unitarity, asymmetry = validation_defects(
+                np.stack([st.s for st in stages[:shaped]]),
+                np.stack([st.r for st in stages[:shaped]]),
+            )
+            bad = np.flatnonzero(np.maximum(unitarity, asymmetry) > DEFAULT_TOL)
+            if bad.size and unitarity[bad[0]] > DEFAULT_TOL:
+                raise NonUnitaryScattering(
+                    f"stage {bad[0]}: S fails unitarity at tolerance {DEFAULT_TOL:.1e}"
                 )
-            stage.validate()
+            if bad.size:
+                raise NonSymmetricR(
+                    f"stage {bad[0]}: R fails symmetry at tolerance {DEFAULT_TOL:.1e}"
+                )
+        if shaped < len(stages):
+            stage = stages[shaped]
+            if stage.n != 1:
+                raise ValueError(f"stage {shaped} has {stage.n} modes, expected 1")
+            raise FieldCountMismatch(
+                f"stage {shaped} has {stage.m} fields, stage 0 has {stages[0].m}"
+            )
         object.__setattr__(self, "stages", stages)
         if self.residual_r is not None:
             rd = np.array(self.residual_r, dtype=float)
@@ -74,14 +100,8 @@ def concatenation(g1: SlhSystem, g2: SlhSystem) -> SlhSystem:
 
     The result acts on x = (x_g1, x_g2) and m = m1 + m2 independent fields.
     """
-    n1, m1 = g1.n, g1.m
-    k = np.zeros((m1 + g2.m, 2 * (n1 + g2.n)), dtype=complex)
-    k[:m1, : 2 * n1] = g1.k
-    k[m1:, 2 * n1 :] = g2.k
     return SlhSystem(
-        s=block_diag(g1.s, g2.s).astype(complex),
-        k=k,
-        r=block_diag(g1.r, g2.r).astype(float),
+        s=block_diag(g1.s, g2.s), k=block_diag(g1.k, g2.k), r=block_diag(g1.r, g2.r)
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import block_diag
 
 from .errors import (
     NonHermitianRtilde,
@@ -35,6 +34,30 @@ def max_abs(a) -> float:
     """Max-norm of a matrix (0 for empty arrays)."""
     a = np.asarray(a)
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def stack_max(a) -> np.ndarray:
+    """Max-norm of each matrix in a (k, p, q) stack (0 for empty matrices)."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+
+
+def validation_defects(s, r):
+    """Return the residuals that SlhSystem.validate bounds, for stacks of
+    systems: |S_i^dag S_i - I|_max over the (k, m, m) scattering stack s and
+    |R_i - R_i^T|_max over the (k, 2n, 2n) Hamiltonian stack r."""
+    eye = np.eye(s.shape[-1])
+    return (
+        stack_max(np.swapaxes(s, -1, -2).conj() @ s - eye),
+        stack_max(r - np.swapaxes(r, -1, -2)),
+    )
+
+
+def block_diag(a, b):
+    """The block-diagonal matrix diag(a, b) of two 2-d arrays."""
+    out = np.zeros(np.add(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
 
 
 def symplectic_form(n: int) -> RealMatrix:
@@ -143,11 +166,12 @@ class SlhSystem:
 
     def validate(self, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL) -> "SlhSystem":
         """Check unitarity of S and symmetry of R, raising on failure."""
-        if max_abs(self.s.conj().T @ self.s - np.eye(self.m)) > tol_unitary:
+        unitarity, asymmetry = validation_defects(self.s[None], self.r[None])
+        if unitarity[0] > tol_unitary:
             raise NonUnitaryScattering(
                 f"S fails unitarity at tolerance {tol_unitary:.1e}"
             )
-        if max_abs(self.r - self.r.T) > tol_sym:
+        if asymmetry[0] > tol_sym:
             raise NonSymmetricR(f"R fails symmetry at tolerance {tol_sym:.1e}")
         return self
 
@@ -275,8 +299,33 @@ def build_state_space(
     a = drift_matrix(sys)
     b = 2j * th @ np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()])
     c = np.vstack([sys.k, sys.k.conj()])
-    d = block_diag(sys.s, sys.s.conj()).astype(complex)
+    d = block_diag(sys.s, sys.s.conj())
     return DoubledStateSpace(a=a, b=b, c=c, d=d)
+
+
+def annihilation_parts(sys: SlhSystem, tol=DEFAULT_TOL, floor=1.0):
+    """Reduce (K, R) to annihilation variables by slicing, and test what the
+    reduction drops.
+
+    Returns (k_tilde, r_tilde, passive).  k_tilde = 2 K Sigma^dag =
+    K[:, 0::2] - i K[:, 1::2], and r_tilde = 8 Sigma R Sigma^dag is
+    2 (R_qq + R_pp) + 2i (R_pq - R_qp) on the four strided quarters of R
+    (R_qp = R[0::2, 1::2], and so on).  The parts dropped are K - k_tilde
+    Sigma, whose max-norm is |K Sigma^T|_max, and R - Re(Sigma^dag r_tilde
+    Sigma), whose max-norm is max(|R_qq - R_pp|, |R_qp + R_pq|)/2.  passive
+    is True iff each is at most tol * max(floor, |K|_max), resp. tol *
+    max(floor, |R|_max).
+    """
+    k, r = sys.k, sys.r
+    kq, kp = k[:, 0::2], k[:, 1::2]
+    qq, qp, pq, pp = r[0::2, 0::2], r[0::2, 1::2], r[1::2, 0::2], r[1::2, 1::2]
+    k_defect = max_abs(kq + 1j * kp) / 2.0
+    r_defect = max(max_abs(qq - pp), max_abs(qp + pq)) / 2.0
+    passive = (
+        k_defect <= tol * max(floor, max_abs(k))
+        and r_defect <= tol * max(floor, max_abs(r))
+    )
+    return kq - 1j * kp, 2.0 * (qq + pp) + 2j * (pq - qp), passive
 
 
 def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:
@@ -285,15 +334,12 @@ def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:
     True iff the coupling annihilates creation directions,
     |K Sigma^T|_max <= tol * max(1, |K|_max), and R is reconstructed from its
     Hermitian reduction, |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max
-    <= tol * max(1, |R|_max).  The max(1, .) floor keeps the test meaningful
-    for couplings that are zero up to rounding noise, where a purely relative
-    threshold would compare noise against noise.
+    <= tol * max(1, |R|_max) (see annihilation_parts).  The max(1, .) floor
+    keeps the test meaningful for couplings that are zero up to rounding
+    noise, where a purely relative threshold would compare noise against
+    noise.
     """
-    sg = annihilation_map(sys.n)
-    if max_abs(sys.k @ sg.T) > tol * max(1.0, max_abs(sys.k)):
-        return False
-    rebuilt = np.real(sg.conj().T @ (8.0 * sg @ sys.r @ sg.conj().T) @ sg)
-    return max_abs(sys.r - rebuilt) <= tol * max(1.0, max_abs(sys.r))
+    return annihilation_parts(sys, tol)[2]
 
 
 def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
@@ -303,11 +349,9 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
     quadrature expansion K = k_tilde Sigma, R = Re(Sigma^dag r_tilde Sigma);
     offset = trace(r_tilde)/4 keeps the Hamiltonian scalar part.
     """
-    if not is_passive(sys, tol):
+    k_tilde, r_tilde, passive = annihilation_parts(sys, tol)
+    if not passive:
         raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
-    sg = annihilation_map(sys.n)
-    r_tilde = 8.0 * sg @ sys.r @ sg.conj().T
-    k_tilde = 2.0 * sys.k @ sg.conj().T
     return PassiveForm(
         r_tilde=r_tilde, k_tilde=k_tilde, offset=float(np.trace(r_tilde).real) / 4.0
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .composition import CascadeChain
 from .errors import ConvergenceFailure, NonUnitaryInput
@@ -120,6 +119,8 @@ def schur_lower(m: ComplexMatrix) -> SchurLower:
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return SchurLower(u=empty, m_hat=empty.copy())
+    import scipy.linalg  # only Schur needs scipy; the other CLI paths skip its import
+
     try:
         t, z = scipy.linalg.schur(m, output="complex")
     except np.linalg.LinAlgError as exc:

@@ -17,14 +17,17 @@ from .model import (
     ComplexMatrix,
     DoubledStateSpace,
     SlhSystem,
+    annihilation_parts,
     build_state_space,
     max_abs,
+    stack_max,
     symplectic_form,
 )
 from .passive import SymplecticTransform
 
 RESOLVENT_MARGIN = 1e-8
 SPECTRUM_REJECT = 1e-6
+STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,11 +55,24 @@ class EquivalenceReport:
     seed: int
 
 
-def _resolvent_value(ss: DoubledStateSpace, s: complex) -> ComplexMatrix:
-    nn = ss.a.shape[0]
-    if nn == 0:
-        return ss.d.copy()
-    return ss.c @ np.linalg.solve(s * np.eye(nn) - ss.a, ss.b) + ss.d
+def _evaluate(a, b, c, d, points) -> np.ndarray:
+    """Return the (k, p, q) stack of c (sI - a)^{-1} b + d at the k points.
+
+    Each resolvent is a pivoted LU solve on a stack of sI - a, never an
+    explicit inverse; a stack holds at most STACK_ENTRIES matrix entries, so
+    that memory stays flat at large n.  Raises LinAlgError when some
+    sI - a is exactly singular.
+    """
+    values = np.repeat(d[None], len(points), axis=0)
+    nn = a.shape[0]
+    if nn == 0 or values.size == 0:
+        return values
+    eye = np.eye(nn)
+    step = max(1, STACK_ENTRIES // (nn * nn))
+    for lo in range(0, len(points), step):
+        s = points[lo : lo + step, None, None]
+        values[lo : lo + step] += c @ np.linalg.solve(s * eye - a, b)
+    return values
 
 
 def transfer_function(ss: DoubledStateSpace, s: complex) -> TransferSample:
@@ -73,10 +89,47 @@ def transfer_function(ss: DoubledStateSpace, s: complex) -> TransferSample:
                 f"s = {s} is within {gap:.3e} of the drift spectrum"
             )
     try:
-        value = _resolvent_value(ss, s)
+        value = _evaluate(ss.a, ss.b, ss.c, ss.d, np.array([s]))[0]
     except np.linalg.LinAlgError as exc:
         raise ResolventSingular(f"resolvent solve failed at s = {s}") from exc
     return TransferSample(s=s, value=value)
+
+
+def _mode_response(k_tilde, r_tilde, scattering, points) -> np.ndarray:
+    """G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S at the points, with
+    2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde: the annihilation block
+    of the doubled-up transfer function of a passive system."""
+    two_m = -0.5j * r_tilde - 0.5 * (k_tilde.conj().T @ k_tilde)
+    return _evaluate(two_m, k_tilde.conj().T @ scattering, -k_tilde, scattering, points)
+
+
+def _draw(rng, count, scale) -> np.ndarray:
+    """Draw count points s = (sigma + i omega) * scale, sigma uniform in
+    [0.5, 2] and omega uniform in [-2, 2], taking sigma and omega from the
+    generator in turn."""
+    u = rng.random((count, 2))
+    return ((0.5 + 1.5 * u[:, 0]) + 1j * (-2.0 + 4.0 * u[:, 1])) * scale
+
+
+def _drift_max(sys: SlhSystem) -> float:
+    """|A|_max of the drift A = 2 Theta (R + Im(K^dag K)), without forming A."""
+    return 2.0 * max_abs(sys.r + np.imag(sys.k.conj().T @ sys.k))
+
+
+def _accepted_points(rng, n_samples, scale, spectrum) -> np.ndarray:
+    """The first n_samples drawn points that lie at least 1e-6*scale from
+    every eigenvalue in spectrum."""
+    accepted = np.zeros(0, dtype=complex)
+    attempts = 0
+    while accepted.size < n_samples:
+        count = n_samples - accepted.size
+        attempts += count
+        if attempts > 1000 * n_samples:
+            raise RuntimeError("frequency sampling stalled near the spectra")
+        points = _draw(rng, count, scale)
+        gap = np.abs(spectrum[None, :] - points[:, None]).min(axis=1, initial=np.inf)
+        accepted = np.concatenate([accepted, points[gap >= SPECTRUM_REJECT * scale]])
+    return accepted
 
 
 def certify_equivalence(
@@ -85,12 +138,30 @@ def certify_equivalence(
     """Certify that two systems share the same doubled-up transfer function.
 
     Draws s = sigma + i*omega with sigma uniform in [0.5, 2]*scale and omega
-    uniform in [-2, 2]*scale, scale = max(1, |A1|_max, |A2|_max), rejecting
-    points within 1e-6*scale of either spectrum.  The check is probabilistic:
-    G has McMillan degree up to 2n, and agreement at the sampled points (and
-    at infinity, through the D term) bounds the mismatch only at those
-    points.  Raises ValueError when n_samples < 1, since no samples would
-    certify anything.
+    uniform in [-2, 2]*scale, where scale = max(|A1|_max, |A2|_max), or 1
+    when both drifts are zero; |A|_max = 2 |R + Im(K^dag K)|_max, as Theta is
+    a signed permutation.  There is no unit floor on the scale, so samples
+    sit among the poles at every scale of the systems.  Both systems must
+    pass SlhSystem.validate.  G is evaluated at all samples in one stacked
+    solve per system, by one of two routes:
+
+    - Passive pair: when both systems drop at most eps = tol/100 of |K|_max
+      and |R|_max, relative and with no floor, on reduction to annihilation
+      variables (annihilation_parts), and R is symmetric to the same eps,
+      G(s) = diag(G_-(s), G_-(conj s)^#) with
+      G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S, n x n solves in
+      place of 2n x 2n.  The numerical range of 2M = -(i/2) r_tilde -
+      (1/2) k_tilde^dag k_tilde lies in Re <= 0 and every sample has
+      Re s >= scale/2, so no sample can fall near the spectrum and none is
+      tested against it.
+    - Any other pair: G(s) = Cd (sI - A)^{-1} B + Dd on the 2n x 2n
+      quadrature state space, and samples within 1e-6*scale of either drift
+      spectrum are rejected and redrawn.
+
+    The check is probabilistic: G has McMillan degree up to 2n, and
+    agreement at the sampled points (and at infinity, through the D term)
+    bounds the mismatch only at those points.  Raises ValueError when
+    n_samples < 1, since no samples would certify anything.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -101,33 +172,34 @@ def certify_equivalence(
         )
     if max_abs(g.s - g2.s) > tol:
         raise ScatteringMismatch("scattering matrices differ beyond tolerance")
-    ss1 = build_state_space(g)
-    ss2 = build_state_space(g2)
-    scale = max(1.0, max_abs(ss1.a), max_abs(ss2.a))
-    spectrum = np.concatenate(
-        [
-            np.linalg.eigvals(ss1.a) if ss1.a.size else np.zeros(0, complex),
-            np.linalg.eigvals(ss2.a) if ss2.a.size else np.zeros(0, complex),
-        ]
-    )
+    systems = (g.validate(), g2.validate())
+    scale = max(_drift_max(x) for x in systems) or 1.0
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < n_samples:
-        attempts += 1
-        if attempts > 1000 * n_samples:
-            raise RuntimeError("frequency sampling stalled near the spectra")
-        s = complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)) * scale
-        if spectrum.size and np.min(np.abs(spectrum - s)) < SPECTRUM_REJECT * scale:
-            continue
-        v1 = _resolvent_value(ss1, s)
-        v2 = _resolvent_value(ss2, s)
-        worst = max(worst, max_abs(v1 - v2) / max(1.0, max_abs(v1)))
-        accepted += 1
+    eps = tol / 100.0
+    parts = [annihilation_parts(x, eps, floor=0.0) for x in systems]
+    if all(
+        passive and max_abs(x.r - x.r.T) <= eps * max_abs(x.r)
+        for x, (_, _, passive) in zip(systems, parts)
+    ):
+        points = _draw(rng, n_samples, scale)
+        both = np.concatenate([points, points.conj()])
+        v1, v2 = (
+            _mode_response(k_tilde, r_tilde, x.s, both)
+            for x, (k_tilde, r_tilde, _) in zip(systems, parts)
+        )
+        # sample i is G_-(s_i) and G_-(conj s_i)^#; the conjugate moves no max-norm
+        mismatch = stack_max(v1 - v2).reshape(2, n_samples).max(axis=0)
+        size = stack_max(v1).reshape(2, n_samples).max(axis=0)
+    else:
+        ss1, ss2 = (build_state_space(x) for x in systems)
+        spectrum = np.concatenate([np.linalg.eigvals(ss1.a), np.linalg.eigvals(ss2.a)])
+        points = _accepted_points(rng, n_samples, scale, spectrum)
+        v1, v2 = (_evaluate(ss.a, ss.b, ss.c, ss.d, points) for ss in (ss1, ss2))
+        mismatch, size = stack_max(v1 - v2), stack_max(v1)
+    worst = float((mismatch / np.maximum(1.0, size)).max())
     return EquivalenceReport(
         max_rel_mismatch=worst,
-        samples_used=accepted,
+        samples_used=n_samples,
         verdict=worst <= tol,
         tolerance=tol,
         seed=seed,

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from cascade_synth import (
+    CascadeChain,
     RealizationDocument,
     SlhSystem,
     SystemDocument,
     build_state_space,
     cascade,
     max_abs,
+    passive_realize,
     transfer_function,
 )
+from cascade_synth import cli
 from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_system
 
@@ -133,6 +136,7 @@ class TestPassiveRealize:
         assert reports["equivalence"]["verdict"] is True
         assert reports["equivalence"]["seed"] == 3
         assert reports["stages_passive"] is True
+        assert reports["chain_residual"] <= 1e-12
         assert len(payload["V"]) == 4
 
         stored = RealizationDocument.loads(out.read_text())
@@ -145,6 +149,38 @@ class TestPassiveRealize:
         path = write_doc(tmp_path, "active.json", SystemDocument.from_system(sys_))
         code, payload = run_cli(capsys, "passive-realize", path)
         assert code == 3 and payload["kind"] == "precondition"
+
+    @staticmethod
+    def _bent_stage(realization):
+        first, *rest = realization.chain.stages
+        bent = SlhSystem(s=first.s, k=1.01 * first.k, r=first.r)
+        return realization._replace(chain=CascadeChain(stages=(bent, *rest)))
+
+    @staticmethod
+    def _shifted_system(realization):
+        system = realization.system
+        shifted = SlhSystem(s=system.s, k=system.k, r=system.r + 1e-3 * np.eye(2 * system.n))
+        return realization._replace(system=shifted)
+
+    @pytest.mark.parametrize(
+        "corrupt, equivalent",
+        [("_bent_stage", True), ("_shifted_system", False)],
+    )
+    def test_emitted_stages_and_system_are_both_certified(
+        self, capsys, monkeypatch, reference_doc, corrupt, equivalent
+    ):
+        # stages that no longer cascade to the transformed system, or a
+        # transformed system that no longer matches the input, fail the run
+        def realize(system, tol):
+            return getattr(self, corrupt)(passive_realize(system, tol))
+
+        monkeypatch.setattr(cli, "passive_realize", realize)
+        path, _ = reference_doc
+        code, payload = run_cli(capsys, "passive-realize", path)
+        reports = payload["reports"]
+        assert code == 2
+        assert reports["equivalence"]["verdict"] is equivalent
+        assert reports["chain_residual"] > 1e-9
 
 
 class TestTf:
@@ -266,6 +302,24 @@ class TestArgumentErrors:
 
 
 class TestModuleEntryPoint:
+    def test_scipy_loaded_only_for_schur(self, tmp_path, cascade_doc):
+        path, combined, _ = cascade_doc
+        same = write_doc(tmp_path, "same.json", SystemDocument.from_system(combined))
+        script = (
+            "import contextlib, io, sys\n"
+            "from cascade_synth.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['check', {path!r}])\n"
+            f"    main(['tf', {path!r}, '--points', '1+2j,0.5'])\n"
+            f"    main(['verify', {path!r}, {same!r}])\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_python_dash_m_smoke(self, tmp_path):
         chain = random_chain(2, 1, 15)
         doc = SystemDocument.from_system(cascade(chain))

@@ -11,6 +11,7 @@ from cascade_synth import (
     BadResidual,
     CascadeChain,
     FieldCountMismatch,
+    NonSymmetricR,
     NonUnitaryScattering,
     SlhSystem,
     cascade,
@@ -181,6 +182,19 @@ class TestCascade:
         leaky = SlhSystem(s=(1.0 + 1e-6) * stage.s, k=stage.k, r=stage.r)
         with pytest.raises(NonUnitaryScattering):
             CascadeChain(stages=(stage, leaky))
+        # the stages are checked in one stacked pass that names the first failure
+        with pytest.raises(NonUnitaryScattering, match="stage 2"):
+            CascadeChain(stages=(stage, stage, leaky, leaky))
+        tilted = SlhSystem(s=stage.s, k=stage.k, r=stage.r + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+        with pytest.raises(NonSymmetricR, match="stage 1"):
+            CascadeChain(stages=(stage, tilted, stage, tilted))
+        # the lowest failing stage raises, whichever check it fails
+        with pytest.raises(NonSymmetricR, match="stage 0"):
+            CascadeChain(stages=(tilted, stage, stage, leaky))
+        with pytest.raises(NonUnitaryScattering, match="stage 1"):
+            CascadeChain(stages=(stage, leaky, random_system(1, 3, 1)))
+        with pytest.raises(FieldCountMismatch, match="stage 1"):
+            CascadeChain(stages=(stage, random_system(1, 3, 1), leaky))
 
     def test_residual_validation(self):
         stage = random_system(1, 2, 0)

@@ -228,10 +228,11 @@ class TestPassiveRealize:
         rhs = 8.0 * np.real(sigma.conj().T @ dec.m_hat @ sigma)
         assert max_abs(lhs - rhs) <= 1e-9
 
-    @given(st.integers(1, 5), st.integers(1, 4), seeds)
+    @given(st.integers(1, 5), st.integers(1, 4), seeds, st.sampled_from([1.0, 1e-12, 1e8]))
     @settings(max_examples=25, deadline=None)
-    def test_random_passive_pipeline(self, n, m, seed):
-        sys = random_passive_system(n, m, seed)
+    def test_random_passive_pipeline(self, n, m, seed, c):
+        unit = random_passive_system(n, m, seed)
+        sys = SlhSystem(s=unit.s, k=np.sqrt(c) * unit.k, r=c * unit.r)
         moved, transform, chain = passive_realize(sys)
         report = is_cascade_realizable(moved, tol=1e-8)
         assert report.is_triangular

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cascade_synth import (
     OddDimension,
+    PassiveForm,
     ResolventSingular,
     ScatteringMismatch,
     SlhSystem,
@@ -16,15 +17,21 @@ from cascade_synth import (
     ccr_preservation,
     certify_equivalence,
     certify_symplectic,
+    from_passive_form,
     identity_system,
+    is_passive,
     max_abs,
     transfer_function,
 )
+from cascade_synth.model import annihilation_parts
 from cascade_synth.sampling import (
+    random_passive_form,
+    random_passive_system,
     random_symplectic_orthogonal,
     random_system,
     random_unitary,
 )
+from cascade_synth.verification import _mode_response
 
 import reference_data as ref
 
@@ -177,6 +184,69 @@ class TestCertifyEquivalence:
         other = SlhSystem(s=-sys.s, k=sys.k, r=sys.r)
         with pytest.raises(ScatteringMismatch):
             certify_equivalence(sys, other)
+
+
+def scaled_passive(seed, c, s):
+    """A passive 6-mode system with R_tilde scaled by c and K_tilde by sqrt(c)."""
+    pf = random_passive_form(6, 3, seed)
+    return from_passive_form(
+        PassiveForm(r_tilde=c * pf.r_tilde, k_tilde=np.sqrt(c) * pf.k_tilde), s
+    )
+
+
+def passive_route_values(sys, points):
+    """The doubled-up G that the passive route builds, diag(G_-(s), G_-(conj s)^#)."""
+    k_tilde, r_tilde, _ = annihilation_parts(sys)
+    both = np.concatenate([points, points.conj()])
+    minus = _mode_response(k_tilde, r_tilde, sys.s, both).reshape(2, len(points), sys.m, sys.m)
+    values = np.zeros((len(points), 2 * sys.m, 2 * sys.m), dtype=complex)
+    values[:, : sys.m, : sys.m] = minus[0]
+    values[:, sys.m :, sys.m :] = minus[1].conj()
+    return values
+
+
+class TestCertificationRoutes:
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-9])
+    def test_different_systems_differ_at_small_scale(self, c):
+        # the samples must sit among the poles, which shrink with c
+        s = random_unitary(3, 100)
+        report = certify_equivalence(scaled_passive(0, c, s), scaled_passive(1, c, s))
+        assert not report.verdict
+        assert report.max_rel_mismatch > 0.1
+
+    def test_small_non_passive_part_takes_the_general_route(self):
+        sys = scaled_passive(0, 1e-9, random_unitary(3, 100))
+        r = np.array(sys.r)
+        bump = 0.1 * max_abs(r)
+        r[0, 0] += bump
+        r[1, 1] -= bump
+        bumped = SlhSystem(s=sys.s, k=sys.k, r=r)
+        assert is_passive(bumped, 1e-9)  # the unit floor hides the bump
+        # the passive route would drop the bump and certify the pair
+        report = certify_equivalence(sys, bumped)
+        assert not report.verdict
+
+    @pytest.mark.parametrize("n, m, seed", [(n, 1 + n % 3, n) for n in range(1, 7)] + [(64, 4, 64)])
+    def test_passive_route_matches_doubled_state_space(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_passive_system(n, m, rng)
+        ss = build_state_space(sys)
+        points = max_abs(ss.a) * (rng.uniform(0.5, 2.0, 5) + 1j * rng.uniform(-2.0, 2.0, 5))
+        values = passive_route_values(sys, points)
+        for point, value in zip(points, values):
+            oracle = transfer_function(ss, point).value
+            assert max_abs(value - oracle) <= 1e-12 * max_abs(oracle)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0), (3, 0)])
+    def test_empty_dimensions(self, n, m):
+        rng = np.random.default_rng(7)
+        s = random_unitary(m, rng) if m else np.zeros((0, 0), dtype=complex)
+        passive = from_passive_form(random_passive_form(n, m, rng), s)
+        general = SlhSystem(s=s, k=np.zeros((m, 2 * n), dtype=complex), r=random_system(n, 1, rng).r)
+        for a, b in ((passive, passive), (general, general), (passive, general)):
+            report = certify_equivalence(a, b, n_samples=5)
+            assert report.verdict and report.max_rel_mismatch == 0.0
+            assert report.samples_used == 5
 
 
 class TestCertifySymplectic:

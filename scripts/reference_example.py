@@ -64,13 +64,13 @@ def main():
     )
 
     m_mat = mode_matrix(pf)
-    dec = schur_lower(m_mat)
+    u, m_hat = schur_lower(m_mat)
     print("\n== mode-space reduction ==")
     print("M =\n", m_mat)
-    print("M_hat (lower triangular) =\n", dec.m_hat)
-    print("mode eigenvalues:", np.diag(dec.m_hat))
+    print("M_hat (lower triangular) =\n", m_hat)
+    print("mode eigenvalues:", np.diag(m_hat))
 
-    transform = build_symplectic(dec.u)
+    transform = build_symplectic(u)
     print("\n== symplectic transform ==")
     print("V =\n", transform.v)
     print(f"CCR residual |V Theta V^T - Theta| = {ccr_preservation(transform):.2e}")
@@ -99,8 +99,7 @@ def main():
         f"(worst mismatch {equivalence.max_rel_mismatch:.2e} "
         f"over {equivalence.samples_used} samples)"
     )
-    sample = transfer_function(build_state_space(sys), 1.0 + 1.0j)
-    print("G(1+1j) =\n", sample.value)
+    print("G(1+1j) =\n", transfer_function(build_state_space(sys), 1.0 + 1.0j))
 
 
 if __name__ == "__main__":

@@ -45,19 +45,16 @@ from .model import (
     PassiveForm,
     RealMatrix,
     SlhSystem,
-    annihilation_map,
     build_state_space,
     drift_matrix,
     from_passive_form,
     identity_system,
     is_passive,
     max_abs,
-    symplectic_form,
     to_passive_form,
 )
 from .passive import (
     PassiveRealization,
-    SchurLower,
     SymplecticTransform,
     build_symplectic,
     mode_matrix,
@@ -71,7 +68,6 @@ from .realizability import (
 )
 from .verification import (
     EquivalenceReport,
-    TransferSample,
     ccr_preservation,
     certify_equivalence,
     certify_symplectic,
@@ -104,13 +100,10 @@ __all__ = [
     "RealizationDocument",
     "ResolventSingular",
     "ScatteringMismatch",
-    "SchurLower",
     "SlhSystem",
     "SymplecticTransform",
     "SystemDocument",
-    "TransferSample",
     "TriangularityReport",
-    "annihilation_map",
     "build_state_space",
     "build_symplectic",
     "canonical_json",
@@ -133,7 +126,6 @@ __all__ = [
     "residual_interaction",
     "schur_lower",
     "series",
-    "symplectic_form",
     "to_passive_form",
     "transfer_function",
 ]

@@ -180,13 +180,11 @@ def cmd_tf(args) -> int:
     state_space = build_state_space(system)
     samples = []
     for s in _parse_points(args.points):
-        sample = transfer_function(state_space, s)
+        value = transfer_function(state_space, s)
         samples.append(
             {
-                "s": [sample.s.real, sample.s.imag],
-                "value": [
-                    [[z.real, z.imag] for z in row] for row in sample.value
-                ],
+                "s": [s.real, s.imag],
+                "value": [[[z.real, z.imag] for z in row] for row in value],
             }
         )
     _emit({"samples": samples})

@@ -26,9 +26,6 @@ RealMatrix = NDArray[np.floating]
 
 DEFAULT_TOL = 1e-9
 
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-J2.setflags(write=False)
-
 
 def max_abs(a) -> float:
     """Max-norm of a matrix (0 for empty arrays)."""
@@ -60,26 +57,6 @@ def block_diag(a, b):
     return out
 
 
-def symplectic_form(n: int) -> RealMatrix:
-    """Return the 2n x 2n canonical symplectic form Theta = diag(J, ..., J),
-    J = [[0, 1], [-1, 0]], fixing the commutation relations of (q, p) pairs."""
-    return np.kron(np.eye(n), J2)
-
-
-def annihilation_map(n: int) -> ComplexMatrix:
-    """Return the n x 2n map Sigma from quadratures to annihilation variables,
-    a_j = (q_j + i p_j) / 2, i.e. row j carries (1/2, i/2) in columns 2j, 2j+1.
-
-    Constructed so that Sigma Sigma^dag = I/2, Sigma Sigma^T = 0 and
-    2 [Sigma^dag  Sigma^T] [Sigma; Sigma^#] = I hold exactly in floating point.
-    """
-    sg = np.zeros((n, 2 * n), dtype=complex)
-    for j in range(n):
-        sg[j, 2 * j] = 0.5
-        sg[j, 2 * j + 1] = 0.5j
-    return sg
-
-
 def pair_blocks(a):
     """Return the (n, n, 2, 2) block view of a 2n x 2n matrix: entry [j, k]
     is the 2x2 block coupling mode j to mode k on the (q1, p1, ..., qn, pn)
@@ -87,6 +64,33 @@ def pair_blocks(a):
     through it reach the matrix."""
     n = a.shape[0] // 2
     return a.reshape(n, 2, n, 2).swapaxes(1, 2)
+
+
+def realify(z) -> RealMatrix:
+    """Return the real 2n x 2n matrix whose 2x2 block (j, k) is
+    [[Re z_jk, -Im z_jk], [Im z_jk, Re z_jk]] for an n x n complex z.
+
+    This is 4 Re(Sigma^dag z Sigma) with Sigma the map a = Sigma x from
+    quadratures to annihilation variables: the matrix that acts on x as z
+    acts on a.  -Im is written 0.0 - Im so that a zero imaginary part of
+    either sign gives +0.0 there.
+    """
+    n = z.shape[0]
+    out = np.empty((n, 2, n, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = z.real
+    out[:, 0, :, 1] = 0.0 - z.imag
+    out[:, 1, :, 0] = z.imag
+    return out.reshape(2 * n, 2 * n)
+
+
+def theta_times(x):
+    """Return Theta @ x for the symplectic form Theta = diag(J, ..., J),
+    J = [[0, 1], [-1, 0]]: each row pair (q_j, p_j) of x becomes
+    (p_j, -q_j)."""
+    out = np.empty_like(x)
+    out[0::2] = x[1::2]
+    out[1::2] = -x[0::2]
+    return out
 
 
 def _readonly(a):
@@ -280,8 +284,7 @@ def drift_matrix(sys: SlhSystem) -> RealMatrix:
     """Return the drift matrix A = 2 Theta (R + Im(K^dag K)) of the canonical
     variables; lower 2x2-block triangularity of A is the exact criterion for
     pure-cascade realizability."""
-    th = symplectic_form(sys.n)
-    return 2.0 * th @ (sys.r + np.imag(sys.k.conj().T @ sys.k))
+    return 2.0 * theta_times(sys.r + np.imag(sys.k.conj().T @ sys.k))
 
 
 def build_state_space(
@@ -295,9 +298,8 @@ def build_state_space(
     column halves, mirroring the conjugate structure of the doubled fields.
     """
     sys.validate(tol_unitary, tol_sym)
-    th = symplectic_form(sys.n)
     a = drift_matrix(sys)
-    b = 2j * th @ np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()])
+    b = 2j * theta_times(np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()]))
     c = np.vstack([sys.k, sys.k.conj()])
     d = block_diag(sys.s, sys.s.conj())
     return DoubledStateSpace(a=a, b=b, c=c, d=d)
@@ -360,12 +362,13 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
 def from_passive_form(pf: PassiveForm, s: ComplexMatrix, tol_sym=DEFAULT_TOL) -> SlhSystem:
     """Expand an annihilation-variable description into quadratures.
 
-    K = k_tilde Sigma and R = Re(Sigma^dag r_tilde Sigma); the resulting
-    diagonal 2x2 blocks of R are scalar multiples of the identity, the
-    hallmark of a passive Hamiltonian.
+    K = k_tilde Sigma, whose column pair j is (k_j/2, i k_j/2) for column j
+    of k_tilde, and R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4;
+    the resulting diagonal 2x2 blocks of R are scalar multiples of the
+    identity, the hallmark of a passive Hamiltonian.
     """
     pf.validate(tol_sym)
-    sg = annihilation_map(pf.n)
-    k = pf.k_tilde @ sg
-    r = np.real(sg.conj().T @ pf.r_tilde @ sg)
-    return SlhSystem(s=s, k=k, r=r)
+    k = np.empty((pf.m, 2 * pf.n), dtype=complex)
+    k[:, 0::2] = pf.k_tilde / 2
+    k[:, 1::2] = 1j * pf.k_tilde / 2
+    return SlhSystem(s=s, k=k, r=realify(pf.r_tilde) / 4)

@@ -20,31 +20,14 @@ from .errors import ConvergenceFailure, NonUnitaryInput
 from .model import (
     DEFAULT_TOL,
     ComplexMatrix,
-    J2,
     PassiveForm,
     RealMatrix,
     SlhSystem,
-    annihilation_map,
     max_abs,
-    symplectic_form,
+    realify,
     to_passive_form,
 )
 from .realizability import decompose_cascade
-
-
-@dataclass(frozen=True, eq=False)
-class SchurLower:
-    """Lower-triangular Schur factorization M = U^dag M_hat U with U unitary
-    and M_hat lower triangular; the eigenvalues of M sit on diag(M_hat)."""
-
-    u: ComplexMatrix
-    m_hat: ComplexMatrix
-
-    def __post_init__(self):
-        for name in ("u", "m_hat"):
-            a = np.array(getattr(self, name), dtype=complex)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,26 +68,21 @@ class PassiveRealization(NamedTuple):
 
 
 def mode_matrix(pf: PassiveForm) -> ComplexMatrix:
-    """Return the n x n mode matrix M = (1/2) Sigma Theta Sigma^dag
-    (r_tilde - i k_tilde^dag k_tilde) driving the annihilation variables.
+    """Return the n x n mode matrix M = -(i/4) (r_tilde - i k_tilde^dag
+    k_tilde) driving the annihilation variables.
 
-    The drift matrix A of the corresponding quadrature system is similar to
-    diag(2M, 2M^#): stacking Sigma over Sigma^# block-diagonalizes A into
-    diag(M, M^#) against the inverse 2 [Sigma^dag  Sigma^T].
+    This is (1/2) Sigma Theta Sigma^dag (r_tilde - i k_tilde^dag k_tilde)
+    with Sigma Theta Sigma^dag = -(i/2) I.  The drift matrix A of the
+    corresponding quadrature system is similar to diag(2M, 2M^#): stacking
+    Sigma over Sigma^# block-diagonalizes A into diag(M, M^#) against the
+    inverse 2 [Sigma^dag  Sigma^T].
     """
-    sg = annihilation_map(pf.n)
-    th = symplectic_form(pf.n)
-    return (
-        0.5
-        * sg
-        @ th
-        @ sg.conj().T
-        @ (pf.r_tilde - 1j * pf.k_tilde.conj().T @ pf.k_tilde)
-    )
+    return -0.25j * (pf.r_tilde - 1j * pf.k_tilde.conj().T @ pf.k_tilde)
 
 
-def schur_lower(m: ComplexMatrix) -> SchurLower:
-    """Factor M = U^dag M_hat U with M_hat lower triangular and U unitary.
+def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """Factor M = U^dag M_hat U with M_hat lower triangular and U unitary,
+    and return the pair (U, M_hat); the eigenvalues of M sit on diag(M_hat).
 
     Obtained from the standard upper-triangular complex Schur decomposition
     by conjugating with the antidiagonal permutation P: if M = Z T Z^dag with
@@ -117,8 +95,7 @@ def schur_lower(m: ComplexMatrix) -> SchurLower:
         raise ValueError("M contains non-finite entries")
     n = m.shape[0]
     if n == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return SchurLower(u=empty, m_hat=empty.copy())
+        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
     import scipy.linalg  # only Schur needs scipy; the other CLI paths skip its import
 
     try:
@@ -126,25 +103,25 @@ def schur_lower(m: ComplexMatrix) -> SchurLower:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Schur iteration failed to converge: {exc}") from exc
     p = np.eye(n)[::-1]
-    return SchurLower(u=p @ z.conj().T, m_hat=p @ t @ p)
+    return p @ z.conj().T, p @ t @ p
 
 
 def build_symplectic(u: ComplexMatrix, tol_unitary=DEFAULT_TOL) -> SymplecticTransform:
     """Embed a unitary on the annihilation variables as a real orthogonal
     symplectic matrix on the quadratures.
 
-    Block (j, k) of V is [[Re u_jk, -Im u_jk], [Im u_jk, Re u_jk]], i.e.
-    V = 4 Re(Sigma^dag U Sigma), so that a' = U a and x' = V x describe the
-    same change of variables.  V inherits orthogonality from the unitarity
-    of U and commutes with the symplectic form.
+    V = realify(U): block (j, k) of V is [[Re u_jk, -Im u_jk], [Im u_jk,
+    Re u_jk]], i.e. V = 4 Re(Sigma^dag U Sigma), so that a' = U a and
+    x' = V x describe the same change of variables.  V inherits
+    orthogonality from the unitarity of U and commutes with the symplectic
+    form.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"U must be square, got {u.shape}")
     if max_abs(u.conj().T @ u - np.eye(u.shape[0])) > tol_unitary:
         raise NonUnitaryInput(f"U fails unitarity at tolerance {tol_unitary:.1e}")
-    v = np.kron(u.real, np.eye(2)) - np.kron(u.imag, J2)
-    return SymplecticTransform(v=v)
+    return SymplecticTransform(v=realify(u))
 
 
 def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
@@ -160,8 +137,8 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     Raises NotPassive, through to_passive_form, for a non-passive input.
     """
     pf = to_passive_form(sys, tol)
-    factored = schur_lower(mode_matrix(pf))
-    transform = build_symplectic(factored.u, tol)
+    u, _ = schur_lower(mode_matrix(pf))
+    transform = build_symplectic(u, tol)
     v = transform.v
     r = v @ sys.r @ v.T
     transformed = SlhSystem(s=sys.s, k=sys.k @ v.T, r=(r + r.T) / 2)

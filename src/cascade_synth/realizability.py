@@ -23,7 +23,9 @@ class TriangularityReport:
 
     max_upper_residual is the max-norm over the 2x2 blocks strictly above the
     block diagonal; the verdict is relative, is_triangular iff
-    max_upper_residual <= tolerance_used * scale with scale = max(1, |A|_max).
+    max_upper_residual <= tolerance_used * scale with scale = |A|_max.  There
+    is no unit floor, so the verdict means the same at every scale of the
+    system; a zero drift is triangular.
     """
 
     is_triangular: bool
@@ -33,10 +35,13 @@ class TriangularityReport:
 
 
 def is_cascade_realizable(sys: SlhSystem, tol=DEFAULT_TOL) -> TriangularityReport:
-    """Test whether the drift matrix is lower 2x2-block triangular."""
+    """Test whether the drift matrix is lower 2x2-block triangular.  Raises
+    ValueError for a system with no modes, which has no cascade to test."""
+    if sys.n == 0:
+        raise ValueError("a system with no modes has no cascade")
     a = drift_matrix(sys)
     residual = max_abs(pair_blocks(a)[~np.tri(sys.n, dtype=bool)])
-    scale = max(1.0, max_abs(a))
+    scale = max_abs(a)
     return TriangularityReport(
         is_triangular=residual <= tol * scale,
         max_upper_residual=residual,
@@ -52,10 +57,9 @@ def decompose_cascade(sys: SlhSystem, tol=DEFAULT_TOL) -> CascadeChain:
     K_j the j-th m x 2 column block of K and R_jj the j-th diagonal 2x2 block
     of R.  Cascading the result reproduces (S, K, R).  Raises
     NotCascadeRealizable, with the failing report attached, when the drift
-    matrix is not lower block triangular at the given tolerance.
+    matrix is not lower block triangular at the given tolerance, and
+    ValueError, through is_cascade_realizable, for a system with no modes.
     """
-    if sys.n == 0:
-        raise ValueError("cannot decompose a system with no modes")
     report = is_cascade_realizable(sys, tol)
     if not report.is_triangular:
         raise NotCascadeRealizable(report)

@@ -21,22 +21,13 @@ from .model import (
     build_state_space,
     max_abs,
     stack_max,
-    symplectic_form,
+    theta_times,
 )
 from .passive import SymplecticTransform
 
 RESOLVENT_MARGIN = 1e-8
 SPECTRUM_REJECT = 1e-6
 STACK_ENTRIES = 2**16
-
-
-@dataclass(frozen=True, eq=False)
-class TransferSample:
-    """One evaluation of the doubled-up transfer function: the complex
-    frequency s and the 2m x 2m value G(s)."""
-
-    s: complex
-    value: ComplexMatrix
 
 
 @dataclass(frozen=True)
@@ -75,8 +66,9 @@ def _evaluate(a, b, c, d, points) -> np.ndarray:
     return values
 
 
-def transfer_function(ss: DoubledStateSpace, s: complex) -> TransferSample:
-    """Evaluate G(s) = Cd (sI - A)^{-1} B + Dd at one complex frequency.
+def transfer_function(ss: DoubledStateSpace, s: complex) -> ComplexMatrix:
+    """Evaluate G(s) = Cd (sI - A)^{-1} B + Dd at one complex frequency and
+    return the 2m x 2m value.
 
     The resolvent is computed by a pivoted linear solve, never an explicit
     inverse.  Frequencies within 1e-8 of the spectrum of A are rejected.
@@ -89,10 +81,9 @@ def transfer_function(ss: DoubledStateSpace, s: complex) -> TransferSample:
                 f"s = {s} is within {gap:.3e} of the drift spectrum"
             )
     try:
-        value = _evaluate(ss.a, ss.b, ss.c, ss.d, np.array([s]))[0]
+        return _evaluate(ss.a, ss.b, ss.c, ss.d, np.array([s]))[0]
     except np.linalg.LinAlgError as exc:
         raise ResolventSingular(f"resolvent solve failed at s = {s}") from exc
-    return TransferSample(s=s, value=value)
 
 
 def _mode_response(k_tilde, r_tilde, scattering, points) -> np.ndarray:
@@ -222,7 +213,9 @@ def certify_symplectic(v, tol: float = 1e-9) -> bool:
 
 def ccr_preservation(transform: SymplecticTransform) -> float:
     """Residual |V Theta V^T - Theta|_max of the transform x' = V x: zero
-    exactly when the canonical commutation relations are preserved."""
+    exactly when the canonical commutation relations are preserved.
+
+    Computed as |Theta (V Theta V^T) + I|_max, which is the same number:
+    Theta is a signed permutation with Theta Theta = -I."""
     v = transform.v
-    th = symplectic_form(v.shape[0] // 2)
-    return max_abs(v @ th @ v.T - th)
+    return max_abs(theta_times(v @ theta_times(v.T)) + np.eye(v.shape[0]))

@@ -1,11 +1,36 @@
-"""Frozen reference values for the two-mode passive reference system.
+"""Frozen reference values for the two-mode passive reference system, and
+loop-built structural constants.
 
 Every pipeline artifact below was computed independently (and cross-checked
 entrywise at 4-decimal precision) before the library was written; the tests
-compare library output against these pinned values.
+compare library output against these pinned values.  The library never
+forms Theta or Sigma densely; the loop-built matrices here are the oracles
+its reshapes and strided slices are checked against.
 """
 
 import numpy as np
+
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def symplectic_form(n):
+    """The 2n x 2n symplectic form Theta = diag(J2, ..., J2), built entry by
+    entry."""
+    th = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        th[2 * j, 2 * j + 1] = 1.0
+        th[2 * j + 1, 2 * j] = -1.0
+    return th
+
+
+def annihilation_map(n):
+    """The n x 2n map Sigma from quadratures to annihilation variables,
+    a_j = (q_j + i p_j) / 2: row j carries (1/2, i/2) in columns 2j, 2j+1."""
+    sg = np.zeros((n, 2 * n), dtype=complex)
+    for j in range(n):
+        sg[j, 2 * j] = 0.5
+        sg[j, 2 * j + 1] = 0.5j
+    return sg
 
 # Annihilation-variable description (exact rationals).
 R_TILDE = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])

@@ -83,8 +83,8 @@ class TestAcceptance:
 
     def test_criterion_2_mode_spectrum(self, reference_passive_form):
         compute = lambda: schur_lower(mode_matrix(reference_passive_form))
-        dec, seconds = timed(compute)
-        dist = multiset_distance(np.diag(dec.m_hat), ref.MODE_EIGENVALUES)
+        (_, m_hat), seconds = timed(compute)
+        dist = multiset_distance(np.diag(m_hat), ref.MODE_EIGENVALUES)
         ok = dist <= 1e-3 and seconds < 1e-2
         report(
             2,

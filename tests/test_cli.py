@@ -14,6 +14,7 @@ from cascade_synth import (
     SystemDocument,
     build_state_space,
     cascade,
+    identity_system,
     max_abs,
     passive_realize,
     transfer_function,
@@ -87,6 +88,12 @@ class TestCheck:
         path.write_text("{}")
         code, payload = run_cli(capsys, "check", str(path))
         assert code == 1 and payload["kind"] == "parse"
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize"])
+    def test_zero_mode_system_is_input_error(self, capsys, tmp_path, command):
+        doc = SystemDocument.from_system(identity_system(2))
+        code, payload = run_cli(capsys, command, write_doc(tmp_path, "empty.json", doc))
+        assert code == 1 and payload["kind"] == "input"
 
 
 class TestDecompose:
@@ -196,7 +203,7 @@ class TestTf:
             value = np.array(
                 [[complex(re, im) for re, im in row] for row in entry["value"]]
             )
-            expected = transfer_function(ss, point).value
+            expected = transfer_function(ss, point)
             assert max_abs(value - expected) == 0.0
 
     def test_rejects_unparseable_points(self, capsys, cascade_doc):

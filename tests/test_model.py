@@ -12,20 +12,19 @@ from cascade_synth import (
     NotPassive,
     PassiveForm,
     SlhSystem,
-    annihilation_map,
     build_state_space,
     drift_matrix,
     from_passive_form,
     identity_system,
     is_passive,
     max_abs,
-    symplectic_form,
     to_passive_form,
 )
-from cascade_synth.model import J2
-from cascade_synth.sampling import random_passive_system, random_system
+from cascade_synth.model import realify, theta_times
+from cascade_synth.sampling import _complex_gaussian, random_passive_system, random_system
 
 import reference_data as ref
+from reference_data import J2, annihilation_map, symplectic_form
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -98,6 +97,25 @@ class TestStructuralConstants:
         left = 2 * np.hstack([sg.conj().T, sg.T])
         right = np.vstack([sg, sg.conj()])
         assert np.array_equal(left @ right, np.eye(2 * n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_realify_is_sigma_congruence(self, n):
+        # bit for bit: no entry of a Gaussian z is zero, so no zero's sign can differ
+        z = _complex_gaussian(np.random.default_rng(n), (n, n))
+        sg = annihilation_map(n)
+        oracle = 4.0 * np.real(sg.conj().T @ z @ sg)
+        assert realify(z).tobytes() == oracle.tobytes()
+        assert np.array_equal(realify(np.eye(n, dtype=complex)), np.eye(2 * n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_theta_times_is_theta_product(self, n, dtype):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2 * n, 3)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal((2 * n, 3))
+        assert theta_times(x).tobytes() == (symplectic_form(n) @ x).tobytes()
+        assert np.array_equal(theta_times(np.eye(2 * n)), symplectic_form(n))
 
 
 class TestSlhSystem:
@@ -270,6 +288,8 @@ class TestPassiveFormMaps:
         sys = from_passive_form(pf, np.eye(m, dtype=complex))
         sg = annihilation_map(n)
         brute = np.real(sg.conj().T @ pf.r_tilde @ sg)
+        assert np.array_equal(sys.r, brute)
+        assert np.array_equal(sys.k, pf.k_tilde @ sg)
         for j in range(n):
             block = sys.r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
             lam = brute[2 * j, 2 * j]

@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 from cascade_synth import (
     CascadeChain,
     NotCascadeRealizable,
+    PassiveForm,
     SlhSystem,
     cascade,
+    certify_equivalence,
     decompose_cascade,
     drift_matrix,
+    from_passive_form,
     identity_system,
     is_cascade_realizable,
     max_abs,
+    passive_realize,
 )
-from cascade_synth.sampling import random_chain, random_system
+from cascade_synth.sampling import random_chain, random_passive_form, random_system, random_unitary
 
 import reference_data as ref
 
@@ -32,7 +36,7 @@ def upper_residual_oracle(sys):
             for p in range(2):
                 for q in range(2):
                     worst = max(worst, abs(a[2 * j + p, 2 * k + q]))
-    return worst, max(1.0, max_abs(a))
+    return worst, max_abs(a)
 
 
 class TestIsCascadeRealizable:
@@ -76,19 +80,43 @@ class TestIsCascadeRealizable:
         sys = random_system(3, 2, 7)
         huge = SlhSystem(s=sys.s, k=1e6 * sys.k, r=1e12 * sys.r)
         report = is_cascade_realizable(huge, tol=1e-9)
-        assert report.scale == max(1.0, max_abs(drift_matrix(huge)))
+        assert report.scale == max_abs(drift_matrix(huge))
         # absolute residual is enormous, but so is the scale
         assert report.max_upper_residual > 1e9
         assert not report.is_triangular
 
-    def test_tolerance_floor_for_small_systems(self):
-        # drift norm below 1: the floor keeps the test absolute at tol
+    def test_tolerance_has_no_unit_floor(self):
+        # drift norm far below 1: the scale is still |A|_max, not 1
         sys = SlhSystem(
             s=np.eye(1, dtype=complex),
             k=np.array([[1e-8, 1e-8j], [1e-8, 0.0]])[:1],
             r=np.zeros((2, 2)),
         )
-        assert is_cascade_realizable(sys).scale == 1.0
+        assert is_cascade_realizable(sys).scale == max_abs(drift_matrix(sys)) < 1e-15
+
+    @pytest.mark.parametrize("c", [1.0, 1e-10, 1e-12])
+    def test_small_scale_verdict_matches_unit_scale(self, c):
+        # a unit floor on the scale would pass the upper residual, 1.27c, as
+        # triangular at c <= 1e-10, and the emitted stages would not certify
+        pf = random_passive_form(4, 2, 0)
+        g = from_passive_form(
+            PassiveForm(r_tilde=c * pf.r_tilde, k_tilde=np.sqrt(c) * pf.k_tilde),
+            random_unitary(2, 1),
+        )
+        report = is_cascade_realizable(g)
+        assert not report.is_triangular
+        assert report.max_upper_residual > 1e-3 * report.scale
+        with pytest.raises(NotCascadeRealizable):
+            decompose_cascade(g)
+        moved = passive_realize(g).system
+        assert is_cascade_realizable(moved).is_triangular
+        assert certify_equivalence(g, cascade(decompose_cascade(moved))).verdict
+
+    def test_zero_mode_system_rejected(self):
+        # a zero-mode system has no cascade; decompose_cascade raises too (below)
+        for call in (is_cascade_realizable, passive_realize):
+            with pytest.raises(ValueError):
+                call(identity_system(2))
 
 
 class TestDecomposeCascade:

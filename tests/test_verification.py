@@ -57,14 +57,11 @@ class TestTransferFunction:
 
         expected = block_diag(s, s.conj())
         for point in (1.0, 2.0 + 3.0j, 0.5 - 7.0j):
-            sample = transfer_function(ss, point)
-            assert sample.s == complex(point)
-            assert max_abs(sample.value - expected) == 0.0
+            assert max_abs(transfer_function(ss, point) - expected) == 0.0
 
     def test_large_frequency_approaches_direct_term(self):
         ss = build_state_space(random_system(3, 2, 12))
-        sample = transfer_function(ss, 1e8)
-        assert max_abs(sample.value - ss.d) <= 1e-4
+        assert max_abs(transfer_function(ss, 1e8) - ss.d) <= 1e-4
 
     @given(st.integers(1, 4), st.integers(1, 3), seeds)
     @settings(max_examples=25, deadline=None)
@@ -74,16 +71,15 @@ class TestTransferFunction:
         s = complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)) * max(
             1.0, max_abs(ss.a)
         )
-        left = transfer_function(ss, np.conj(s)).value
-        right = transfer_function(ss, s).value
+        left = transfer_function(ss, np.conj(s))
+        right = transfer_function(ss, s)
         perm = swap_blocks(m)
         scale = max(1.0, max_abs(right))
         assert max_abs(left - perm @ right.conj() @ perm) <= 1e-10 * scale
 
     def test_zero_mode_system(self):
         ss = build_state_space(identity_system(2))
-        sample = transfer_function(ss, 1.0 + 1.0j)
-        assert np.array_equal(sample.value, np.eye(4))
+        assert np.array_equal(transfer_function(ss, 1.0 + 1.0j), np.eye(4))
 
     def test_rejects_frequency_on_spectrum(self):
         sys = SlhSystem(
@@ -234,7 +230,7 @@ class TestCertificationRoutes:
         points = max_abs(ss.a) * (rng.uniform(0.5, 2.0, 5) + 1j * rng.uniform(-2.0, 2.0, 5))
         values = passive_route_values(sys, points)
         for point, value in zip(points, values):
-            oracle = transfer_function(ss, point).value
+            oracle = transfer_function(ss, point)
             assert max_abs(value - oracle) <= 1e-12 * max_abs(oracle)
 
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0), (3, 0)])

@@ -99,7 +99,7 @@ def main():
         f"(worst mismatch {equivalence.max_rel_mismatch:.2e} "
         f"over {equivalence.samples_used} samples)"
     )
-    print("G(1+1j) =\n", transfer_function(build_state_space(sys), 1.0 + 1.0j))
+    print("G(1+1j) =\n", transfer_function(build_state_space(sys), [1.0 + 1.0j])[0])
 
 
 if __name__ == "__main__":

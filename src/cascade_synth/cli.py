@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .composition import cascade
-from .documents import RealizationDocument, SystemDocument
+from .documents import RealizationDocument, SystemDocument, _encode
 from .errors import (
     CascadeSynthError,
     ConvergenceFailure,
@@ -177,16 +177,9 @@ def _parse_points(text) -> list[complex]:
 def cmd_tf(args) -> int:
     """Evaluate the doubled-up transfer function at the given frequencies."""
     system = _load_document(args.path).to_system()
-    state_space = build_state_space(system)
-    samples = []
-    for s in _parse_points(args.points):
-        value = transfer_function(state_space, s)
-        samples.append(
-            {
-                "s": [s.real, s.imag],
-                "value": [[[z.real, z.imag] for z in row] for row in value],
-            }
-        )
+    points = _parse_points(args.points)
+    values = _encode(transfer_function(build_state_space(system), points))
+    samples = [{"s": [s.real, s.imag], "value": v} for s, v in zip(points, values)]
     _emit({"samples": samples})
     return EXIT_OK
 

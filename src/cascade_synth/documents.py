@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from itertools import chain
+from typing import Any, Mapping, NoReturn, Optional
 
 import numpy as np
 
@@ -46,57 +47,72 @@ def _require(cond, message, path):
         raise ParseError(message, path)
 
 
-def _encode_real_matrix(a) -> list:
-    return [[float(x) for x in row] for row in np.asarray(a, dtype=float)]
+def _encode(a) -> list:
+    """JSON form of a matrix: rows of numbers for a real array, rows of
+    [re, im] pairs for a complex one."""
+    if np.iscomplexobj(a):
+        return np.stack([a.real, a.imag], -1).tolist()
+    return a.tolist()
 
 
-def _encode_complex_matrix(a) -> list:
-    return [
-        [[float(z.real), float(z.imag)] for z in row]
-        for row in np.asarray(a, dtype=complex)
-    ]
+def _only(items, kinds) -> bool:
+    """True when every item is an instance of kinds and none is a bool, in
+    one C-level pass over the items."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _well_typed(obj, depth) -> bool:
+    """True when obj is depth levels of nested arrays holding JSON numbers,
+    checked one level at a time."""
+    level = [obj]
+    for _ in range(depth):
+        if not _only(level, list):
+            return False
+        level = list(chain.from_iterable(level))
+    return _only(level, (int, float))
 
 
-def _decode_real_matrix(obj, rows, cols, path) -> RealMatrix:
+def _convert(obj, shape) -> Optional[np.ndarray]:
+    """obj as a float array of the given shape, or None unless obj is nested
+    arrays of that shape holding JSON numbers that binary64 can hold."""
+    try:
+        out = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # an empty matrix converts to fewer axes than it has
+    if out.size == 0 and out.shape == shape[: out.ndim]:
+        out = out.reshape(shape)
+    return out if out.shape == shape and _well_typed(obj, len(shape)) else None
+
+
+def _decode(obj, rows, cols, path, is_complex) -> np.ndarray:
+    """Decode a rows x cols matrix of numbers, or of [re, im] pairs when
+    is_complex: one array conversion, then checks of its shape, the types
+    in it and finiteness.  Only a matrix that fails them is walked cell by
+    cell, by _locate, to name the fault."""
+    shape = (rows, cols, 2) if is_complex else (rows, cols)
+    out = _convert(obj, shape)
+    if out is None or not np.isfinite(out).all():
+        _locate(obj, rows, cols, path, is_complex)
+    return out.view(complex)[..., 0] if is_complex else out
+
+
+def _locate(obj, rows, cols, path, is_complex) -> NoReturn:
+    """Raise the ParseError that names the first fault of a matrix _decode
+    rejected, in row-major order; a matrix with no fault in its structure
+    has a non-finite entry."""
     _require(isinstance(obj, list), "expected an array of rows", path)
     _require(len(obj) == rows, f"expected {rows} rows, got {len(obj)}", path)
-    out = np.zeros((rows, cols))
+    cell_shape = (2,) if is_complex else ()
+    message = "expected a [re, im] pair" if is_complex else "expected a real number"
     for i, row in enumerate(obj):
         _require(isinstance(row, list), "expected an array", f"{path}[{i}]")
         _require(
             len(row) == cols, f"expected {cols} columns, got {len(row)}", f"{path}[{i}]"
         )
         for j, cell in enumerate(row):
-            _require(_is_number(cell), "expected a real number", f"{path}[{i}][{j}]")
-            out[i, j] = float(cell)
-    _require(bool(np.all(np.isfinite(out))) if out.size else True, "non-finite entry", path)
-    return out
-
-
-def _decode_complex_matrix(obj, rows, cols, path) -> ComplexMatrix:
-    _require(isinstance(obj, list), "expected an array of rows", path)
-    _require(len(obj) == rows, f"expected {rows} rows, got {len(obj)}", path)
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(obj):
-        _require(isinstance(row, list), "expected an array", f"{path}[{i}]")
-        _require(
-            len(row) == cols, f"expected {cols} columns, got {len(row)}", f"{path}[{i}]"
-        )
-        for j, cell in enumerate(row):
-            _require(
-                isinstance(cell, list)
-                and len(cell) == 2
-                and all(_is_number(x) for x in cell),
-                "expected a [re, im] pair",
-                f"{path}[{i}][{j}]",
-            )
-            out[i, j] = complex(cell[0], cell[1])
-    _require(bool(np.all(np.isfinite(out))) if out.size else True, "non-finite entry", path)
-    return out
+            _require(_convert(cell, cell_shape) is not None, message, f"{path}[{i}][{j}]")
+    raise ParseError("non-finite entry", path)
 
 
 def _count(data, key):
@@ -109,17 +125,40 @@ def _count(data, key):
     return value
 
 
-def _loads_object(text) -> dict:
+def _parse_json(text):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _check_header(data, fields, optional=frozenset()) -> None:
+    """Check what every document shares: a JSON object of this
+    SCHEMA_VERSION whose field names are fields(data), where the optional
+    ones may be absent."""
     _require(isinstance(data, dict), "document must be a JSON object", "$")
-    return data
+    version = data.get("schema_version")
+    _require(
+        version == SCHEMA_VERSION,
+        f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})",
+        "$.schema_version",
+    )
+    allowed = fields(data)
+    unknown = sorted(set(data) - allowed)
+    _require(not unknown, f"unknown fields {unknown}", "$")
+    missing = sorted(allowed - optional - set(data))
+    _require(not missing, f"missing fields {missing}", "$")
 
 
-_GENERAL_KEYS = {"schema_version", "form", "n", "m", "S", "K", "R"}
-_PASSIVE_KEYS = {"schema_version", "form", "n", "m", "S", "K_tilde", "R_tilde"}
+def _system_fields(data) -> set:
+    form = data.get("form")
+    _require(
+        form in ("general", "passive"),
+        f"form must be 'general' or 'passive', got {form!r}",
+        "$.form",
+    )
+    matrices = {"K", "R"} if form == "general" else {"K_tilde", "R_tilde"}
+    return {"schema_version", "form", "n", "m", "S"} | matrices
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,47 +233,30 @@ class SystemDocument:
             "form": self.form,
             "n": self.n,
             "m": self.m,
-            "S": _encode_complex_matrix(self.s),
+            "S": _encode(self.s),
         }
         if self.form == "general":
-            data["K"] = _encode_complex_matrix(self.k)
-            data["R"] = _encode_real_matrix(self.r)
+            data["K"] = _encode(self.k)
+            data["R"] = _encode(self.r)
         else:
-            data["K_tilde"] = _encode_complex_matrix(self.k_tilde)
-            data["R_tilde"] = _encode_complex_matrix(self.r_tilde)
+            data["K_tilde"] = _encode(self.k_tilde)
+            data["R_tilde"] = _encode(self.r_tilde)
         return data
 
     @classmethod
     def from_dict(cls, data) -> "SystemDocument":
-        _require(isinstance(data, dict), "document must be a JSON object", "$")
-        version = data.get("schema_version")
-        _require(
-            version == SCHEMA_VERSION,
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})",
-            "$.schema_version",
-        )
-        form = data.get("form")
-        _require(
-            form in ("general", "passive"),
-            f"form must be 'general' or 'passive', got {form!r}",
-            "$.form",
-        )
-        allowed = _GENERAL_KEYS if form == "general" else _PASSIVE_KEYS
-        unknown = sorted(set(data) - allowed)
-        _require(not unknown, f"unknown fields {unknown}", "$")
-        missing = sorted(allowed - set(data))
-        _require(not missing, f"missing fields {missing}", "$")
+        _check_header(data, _system_fields)
         n = _count(data, "n")
         m = _count(data, "m")
-        s = _decode_complex_matrix(data["S"], m, m, "$.S")
-        if form == "general":
+        s = _decode(data["S"], m, m, "$.S", True)
+        if data["form"] == "general":
             return cls(
                 form="general",
                 s=s,
-                k=_decode_complex_matrix(data["K"], m, 2 * n, "$.K"),
-                r=_decode_real_matrix(data["R"], 2 * n, 2 * n, "$.R"),
+                k=_decode(data["K"], m, 2 * n, "$.K", True),
+                r=_decode(data["R"], 2 * n, 2 * n, "$.R", False),
             )
-        r_tilde = _decode_complex_matrix(data["R_tilde"], n, n, "$.R_tilde")
+        r_tilde = _decode(data["R_tilde"], n, n, "$.R_tilde", True)
         _require(
             max_abs(r_tilde - r_tilde.conj().T) <= HERMITICITY_TOL,
             f"R_tilde must be Hermitian within {HERMITICITY_TOL:.1e}",
@@ -243,7 +265,7 @@ class SystemDocument:
         return cls(
             form="passive",
             s=s,
-            k_tilde=_decode_complex_matrix(data["K_tilde"], m, n, "$.K_tilde"),
+            k_tilde=_decode(data["K_tilde"], m, n, "$.K_tilde", True),
             r_tilde=r_tilde,
         )
 
@@ -252,7 +274,7 @@ class SystemDocument:
 
     @classmethod
     def loads(cls, text) -> "SystemDocument":
-        return cls.from_dict(_loads_object(text))
+        return cls.from_dict(_parse_json(text))
 
     def digest(self) -> str:
         """sha256 digest of the canonical encoding, used to tie realization
@@ -260,14 +282,7 @@ class SystemDocument:
         return document_digest(self.to_dict())
 
 
-_REALIZATION_KEYS = {
-    "schema_version",
-    "input_digest",
-    "stages",
-    "V",
-    "residual_R",
-    "reports",
-}
+_REALIZATION_FIELDS = {"schema_version", "input_digest", "stages", "V", "residual_R", "reports"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,34 +324,20 @@ class RealizationDocument:
             "schema_version": self.schema_version,
             "input_digest": self.input_digest,
             "stages": [
-                {
-                    "S": _encode_complex_matrix(st.s),
-                    "K": _encode_complex_matrix(st.k),
-                    "R": _encode_real_matrix(st.r),
-                }
+                {"S": _encode(st.s), "K": _encode(st.k), "R": _encode(st.r)}
                 for st in self.stages
             ],
             "reports": dict(self.reports),
         }
         if self.v is not None:
-            data["V"] = _encode_real_matrix(self.v)
+            data["V"] = _encode(self.v)
         if self.residual_r is not None:
-            data["residual_R"] = _encode_real_matrix(self.residual_r)
+            data["residual_R"] = _encode(self.residual_r)
         return data
 
     @classmethod
     def from_dict(cls, data) -> "RealizationDocument":
-        _require(isinstance(data, dict), "document must be a JSON object", "$")
-        version = data.get("schema_version")
-        _require(
-            version == SCHEMA_VERSION,
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})",
-            "$.schema_version",
-        )
-        unknown = sorted(set(data) - _REALIZATION_KEYS)
-        _require(not unknown, f"unknown fields {unknown}", "$")
-        missing = sorted({"input_digest", "stages", "reports"} - set(data))
-        _require(not missing, f"missing fields {missing}", "$")
+        _check_header(data, lambda _: _REALIZATION_FIELDS, optional={"V", "residual_R"})
         _require(isinstance(data["input_digest"], str), "expected a string", "$.input_digest")
         _require(isinstance(data["stages"], list), "expected an array", "$.stages")
         _require(len(data["stages"]) > 0, "expected at least one stage", "$.stages")
@@ -353,18 +354,18 @@ class RealizationDocument:
             m = len(entry["S"])
             stages.append(
                 SlhSystem(
-                    s=_decode_complex_matrix(entry["S"], m, m, f"{path}.S"),
-                    k=_decode_complex_matrix(entry["K"], m, 2, f"{path}.K"),
-                    r=_decode_real_matrix(entry["R"], 2, 2, f"{path}.R"),
+                    s=_decode(entry["S"], m, m, f"{path}.S", True),
+                    k=_decode(entry["K"], m, 2, f"{path}.K", True),
+                    r=_decode(entry["R"], 2, 2, f"{path}.R", False),
                 )
             )
         nn = 2 * len(stages)
         v = None
         if "V" in data:
-            v = _decode_real_matrix(data["V"], nn, nn, "$.V")
+            v = _decode(data["V"], nn, nn, "$.V", False)
         residual = None
         if "residual_R" in data:
-            residual = _decode_real_matrix(data["residual_R"], nn, nn, "$.residual_R")
+            residual = _decode(data["residual_R"], nn, nn, "$.residual_R", False)
         _require(isinstance(data["reports"], dict), "expected an object", "$.reports")
         return cls(
             input_digest=data["input_digest"],
@@ -379,7 +380,7 @@ class RealizationDocument:
 
     @classmethod
     def loads(cls, text) -> "RealizationDocument":
-        return cls.from_dict(_loads_object(text))
+        return cls.from_dict(_parse_json(text))
 
     def digest(self) -> str:
         return document_digest(self.to_dict())

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import OddDimension, ResolventSingular, ScatteringMismatch
 from .model import (
-    ComplexMatrix,
     DoubledStateSpace,
     SlhSystem,
     annihilation_parts,
@@ -66,24 +65,26 @@ def _evaluate(a, b, c, d, points) -> np.ndarray:
     return values
 
 
-def transfer_function(ss: DoubledStateSpace, s: complex) -> ComplexMatrix:
-    """Evaluate G(s) = Cd (sI - A)^{-1} B + Dd at one complex frequency and
-    return the 2m x 2m value.
+def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
+    """Evaluate G(s) = Cd (sI - A)^{-1} B + Dd at a 1-d sequence of k complex
+    frequencies and return the (k, 2m, 2m) stack of values.
 
-    The resolvent is computed by a pivoted linear solve, never an explicit
-    inverse.  Frequencies within 1e-8 of the spectrum of A are rejected.
+    The resolvents are pivoted linear solves, never explicit inverses.  The
+    spectrum of A is computed once; frequencies within 1e-8 of it are
+    rejected, the first such point naming the error.
     """
-    s = complex(s)
-    if ss.a.shape[0]:
-        gap = np.min(np.abs(np.linalg.eigvals(ss.a) - s))
-        if gap <= RESOLVENT_MARGIN:
-            raise ResolventSingular(
-                f"s = {s} is within {gap:.3e} of the drift spectrum"
-            )
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 1:
+        raise ValueError(f"points must be a 1-d sequence, got shape {points.shape}")
+    gaps = np.abs(points[:, None] - np.linalg.eigvals(ss.a)).min(axis=1, initial=np.inf)
+    near = np.flatnonzero(gaps <= RESOLVENT_MARGIN)
+    if near.size:
+        s, gap = complex(points[near[0]]), gaps[near[0]]
+        raise ResolventSingular(f"s = {s} is within {gap:.3e} of the drift spectrum")
     try:
-        return _evaluate(ss.a, ss.b, ss.c, ss.d, np.array([s]))[0]
+        return _evaluate(ss.a, ss.b, ss.c, ss.d, points)
     except np.linalg.LinAlgError as exc:
-        raise ResolventSingular(f"resolvent solve failed at s = {s}") from exc
+        raise ResolventSingular("resolvent solve failed at one of the given points") from exc
 
 
 def _mode_response(k_tilde, r_tilde, scattering, points) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Frozen reference values for the two-mode passive reference system, and
-loop-built structural constants.
+loop-built structural constants and JSON matrix codecs.
 
 Every pipeline artifact below was computed independently (and cross-checked
 entrywise at 4-decimal precision) before the library was written; the tests
 compare library output against these pinned values.  The library never
-forms Theta or Sigma densely; the loop-built matrices here are the oracles
-its reshapes and strided slices are checked against.
+forms Theta or Sigma densely, and codes each JSON matrix in one array call;
+the loop-built matrices and cell-by-cell codecs here are the oracles its
+reshapes, strided slices and array codecs are checked against.
 """
+
+import json
 
 import numpy as np
 
@@ -31,6 +34,81 @@ def annihilation_map(n):
         sg[j, 2 * j] = 0.5
         sg[j, 2 * j + 1] = 0.5j
     return sg
+
+
+def encode_real_matrix(a):
+    """Rows of floats, one cell at a time."""
+    return [[float(x) for x in row] for row in np.asarray(a, dtype=float)]
+
+
+def encode_complex_matrix(a):
+    """Rows of [re, im] pairs, one cell at a time."""
+    return [
+        [[float(z.real), float(z.imag)] for z in row]
+        for row in np.asarray(a, dtype=complex)
+    ]
+
+
+def decode_real_matrix(obj, rows, cols):
+    out = np.zeros((rows, cols))
+    for i, row in enumerate(obj):
+        for j, cell in enumerate(row):
+            out[i, j] = float(cell)
+    return out
+
+
+def decode_complex_matrix(obj, rows, cols):
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(obj):
+        for j, cell in enumerate(row):
+            out[i, j] = complex(cell[0], cell[1])
+    return out
+
+
+def system_json(doc):
+    """Canonical JSON of a SystemDocument, built with the cell-by-cell
+    encoders."""
+    data = {
+        "schema_version": "1",
+        "form": doc.form,
+        "n": doc.n,
+        "m": doc.m,
+        "S": encode_complex_matrix(doc.s),
+    }
+    if doc.form == "general":
+        data["K"] = encode_complex_matrix(doc.k)
+        data["R"] = encode_real_matrix(doc.r)
+    else:
+        data["K_tilde"] = encode_complex_matrix(doc.k_tilde)
+        data["R_tilde"] = encode_complex_matrix(doc.r_tilde)
+    return canonical_json(data)
+
+
+def realization_json(doc):
+    """Canonical JSON of a RealizationDocument, built with the cell-by-cell
+    encoders."""
+    data = {
+        "schema_version": "1",
+        "input_digest": doc.input_digest,
+        "stages": [
+            {
+                "S": encode_complex_matrix(st.s),
+                "K": encode_complex_matrix(st.k),
+                "R": encode_real_matrix(st.r),
+            }
+            for st in doc.stages
+        ],
+        "reports": dict(doc.reports),
+    }
+    if doc.v is not None:
+        data["V"] = encode_real_matrix(doc.v)
+    if doc.residual_r is not None:
+        data["residual_R"] = encode_real_matrix(doc.residual_r)
+    return canonical_json(data)
+
+
+def canonical_json(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 # Annihilation-variable description (exact rationals).
 R_TILDE = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])

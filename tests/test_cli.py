@@ -89,6 +89,16 @@ class TestCheck:
         code, payload = run_cli(capsys, "check", str(path))
         assert code == 1 and payload["kind"] == "parse"
 
+    def test_integer_beyond_binary64_is_parse_error(self, capsys, tmp_path, cascade_doc):
+        _, _, doc = cascade_doc
+        data = json.loads(doc.dumps())
+        data["R"][1][0] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert payload == {"error": "$.R[1][0]: expected a real number", "kind": "parse"}
+
     @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize"])
     def test_zero_mode_system_is_input_error(self, capsys, tmp_path, command):
         doc = SystemDocument.from_system(identity_system(2))
@@ -197,14 +207,14 @@ class TestTf:
         assert code == 0
         samples = payload["samples"]
         assert len(samples) == 2
-        ss = build_state_space(combined)
-        for entry, point in zip(samples, (1 + 2j, 0.75 + 0j)):
+        points = (1 + 2j, 0.75 + 0j)
+        expected = transfer_function(build_state_space(combined), points)
+        for entry, point, value in zip(samples, points, expected):
             assert entry["s"] == [point.real, point.imag]
-            value = np.array(
+            decoded = np.array(
                 [[complex(re, im) for re, im in row] for row in entry["value"]]
             )
-            expected = transfer_function(ss, point)
-            assert max_abs(value - expected) == 0.0
+            assert max_abs(decoded - value) == 0.0
 
     def test_rejects_unparseable_points(self, capsys, cascade_doc):
         path, _, _ = cascade_doc

@@ -16,7 +16,13 @@ from cascade_synth import (
     document_digest,
     max_abs,
 )
-from cascade_synth.sampling import random_chain, random_passive_form, random_system
+from cascade_synth.sampling import (
+    random_chain,
+    random_passive_form,
+    random_symplectic_orthogonal,
+    random_system,
+    random_unitary,
+)
 
 import reference_data as ref
 
@@ -28,6 +34,59 @@ FROZEN_DOC = SystemDocument.from_system(
     )
 )
 FROZEN_DIGEST = "63bc2b57eba10a46cbfbecb925e6c6a3e62887ceade98b26878eb3cd5aab6d46"
+
+
+def _set_cell(value):
+    return lambda row: row.__setitem__(1, value)
+
+
+# A change to the last row of R (2 x 2) or K (1 x 2, complex) of FROZEN_DOC,
+# and the ParseError path and message the cell-by-cell decoder gave for it.
+MALFORMED_ROWS = [
+    pytest.param("R", _set_cell(True), "$.R[1][1]", "expected a real number", id="R-true"),
+    pytest.param("R", _set_cell("0.5"), "$.R[1][1]", "expected a real number", id="R-string"),
+    pytest.param("R", _set_cell(None), "$.R[1][1]", "expected a real number", id="R-null"),
+    pytest.param("R", _set_cell([0.5, 0.0]), "$.R[1][1]", "expected a real number", id="R-pair"),
+    pytest.param("R", _set_cell([0.5]), "$.R[1][1]", "expected a real number", id="R-re"),
+    pytest.param(
+        "R", _set_cell([0.5, 0.0, 1.0]), "$.R[1][1]", "expected a real number", id="R-triple"
+    ),
+    pytest.param("R", list.pop, "$.R[1]", "expected 2 columns, got 1", id="R-short-row"),
+    pytest.param(
+        "R", lambda row: row.append(0.5), "$.R[1]", "expected 2 columns, got 3", id="R-long-row"
+    ),
+    pytest.param("R", _set_cell(float("inf")), "$.R", "non-finite entry", id="R-Infinity"),
+    pytest.param("R", _set_cell(float("nan")), "$.R", "non-finite entry", id="R-NaN"),
+    pytest.param("K", _set_cell(True), "$.K[0][1]", "expected a [re, im] pair", id="K-true"),
+    pytest.param("K", _set_cell("0.5"), "$.K[0][1]", "expected a [re, im] pair", id="K-string"),
+    pytest.param("K", _set_cell(None), "$.K[0][1]", "expected a [re, im] pair", id="K-null"),
+    pytest.param("K", _set_cell(0.5), "$.K[0][1]", "expected a [re, im] pair", id="K-bare"),
+    pytest.param("K", _set_cell([0.5]), "$.K[0][1]", "expected a [re, im] pair", id="K-re"),
+    pytest.param(
+        "K", _set_cell([0.5, 0.0, 1.0]), "$.K[0][1]", "expected a [re, im] pair", id="K-triple"
+    ),
+    pytest.param(
+        "K", _set_cell([True, 0.0]), "$.K[0][1]", "expected a [re, im] pair", id="K-bool-pair"
+    ),
+    pytest.param("K", list.pop, "$.K[0]", "expected 2 columns, got 1", id="K-short-row"),
+    pytest.param(
+        "K", lambda row: row.append([0.5, 0.0]), "$.K[0]", "expected 2 columns, got 3",
+        id="K-long-row",
+    ),
+    pytest.param("K", _set_cell([float("inf"), 0.0]), "$.K", "non-finite entry", id="K-Infinity"),
+    pytest.param("K", _set_cell([0.0, float("nan")]), "$.K", "non-finite entry", id="K-NaN"),
+]
+
+# Finite doubles at the edges of binary64: signed zeros, subnormals, the
+# smallest normal, the extremes, and values with long shortest-repr forms.
+EDGE_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 0.1, 1 / 3, 1e16, -2.5, 123456789.125]
+)
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestCanonicalJson:
@@ -129,6 +188,25 @@ class TestSystemDocument:
         err = self.parse(lambda d: d["K"][0].__setitem__(0, 0.5))
         assert err.path == "$.K[0][0]"
 
+    @pytest.mark.parametrize("key, change, path, message", MALFORMED_ROWS)
+    def test_rejects_malformed_cell(self, key, change, path, message):
+        err = self.parse(lambda d: change(d[key][-1]))
+        assert err.path == path and str(err) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "cell, path, message",
+        [
+            ("0.125", "$.R[0][0]", "expected a real number"),
+            ("0.5", "$.K[0][0]", "expected a [re, im] pair"),
+        ],
+    )
+    def test_rejects_integer_beyond_binary64(self, cell, path, message):
+        # RFC 8259 lets a number exceed binary64; such a cell is malformed here
+        text = FROZEN_DOC.dumps().replace(cell, "-1" + "0" * 400, 1)
+        with pytest.raises(ParseError) as exc:
+            SystemDocument.loads(text)
+        assert exc.value.path == path and str(exc.value) == f"{path}: {message}"
+
     def test_rejects_non_finite_entries(self):
         # json.loads admits Infinity; schema validation must not
         text = FROZEN_DOC.dumps().replace("0.125", "Infinity", 1)
@@ -224,3 +302,93 @@ class TestRealizationDocument:
 
     def test_rejects_unknown_field(self):
         assert self.parse(lambda d: d.update(zz=1)).path == "$"
+
+
+class TestCodecOracle:
+    """Documents against the cell-by-cell encoders and decoders in
+    reference_data: the same bytes out, the same bits back."""
+
+    def check_system(self, doc):
+        text = doc.dumps()
+        assert text == ref.system_json(doc)
+        again = SystemDocument.loads(text)
+        for name in ("s", "k", "r", "k_tilde", "r_tilde"):
+            if getattr(doc, name) is not None:
+                assert_bits_equal(getattr(again, name), getattr(doc, name))
+
+    def check_realization(self, doc):
+        text = doc.dumps()
+        assert text == ref.realization_json(doc)
+        again = RealizationDocument.loads(text)
+        for stage, original in zip(again.stages, doc.stages, strict=True):
+            for name in ("s", "k", "r"):
+                assert_bits_equal(getattr(stage, name), getattr(original, name))
+        for name in ("v", "residual_r"):
+            if getattr(doc, name) is not None:
+                assert_bits_equal(getattr(again, name), getattr(doc, name))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seeded_system_documents(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 1 + seed % 5, 1 + seed % 3
+        self.check_system(SystemDocument.from_system(random_system(n, m, rng)))
+        pf = random_passive_form(n, m, rng)
+        self.check_system(SystemDocument.from_passive(pf, random_unitary(m, rng)))
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 2, 1), (6, 3, 2), (128, 4, 3)])
+    def test_seeded_realization_documents(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        doc = RealizationDocument(
+            input_digest="0" * 64,
+            stages=random_chain(n, m, rng).stages,
+            v=random_symplectic_orthogonal(n, rng),
+            residual_r=rng.standard_normal((2 * n, 2 * n)) if seed % 2 else None,
+            reports={"seed": seed},
+        )
+        self.check_realization(doc)
+
+    def test_edge_values(self):
+        rng = np.random.default_rng(5)
+        r = rng.permutation(np.resize(EDGE_VALUES, 36)).reshape(6, 6)
+        k = (
+            rng.permutation(np.resize(EDGE_VALUES, 12))
+            + 1j * rng.permutation(np.resize(EDGE_VALUES, 12))
+        ).reshape(2, 6)
+        k[0, 0] = complex(-0.0, -0.0)
+        self.check_system(SystemDocument(form="general", s=np.eye(2), k=k, r=r))
+        stage = SlhSystem(s=np.eye(2) * -1.0, k=k[:, :2], r=r[:2, :2])
+        self.check_realization(
+            RealizationDocument(input_digest="x", stages=(stage,), v=r[:2, :2])
+        )
+
+    def test_integer_cells(self):
+        cells = [1, -2, 0, 2**53 + 1, -(2**63), 10**300]
+        data = {
+            "schema_version": "1",
+            "form": "general",
+            "n": 1,
+            "m": 1,
+            "S": [[[1, 0]]],
+            "K": [[cells[0:2], cells[2:4]]],
+            "R": [cells[2:4], cells[4:6]],
+        }
+        doc = SystemDocument.loads(json.dumps(data))
+        assert_bits_equal(doc.s, ref.decode_complex_matrix(data["S"], 1, 1))
+        assert_bits_equal(doc.k, ref.decode_complex_matrix(data["K"], 1, 2))
+        assert_bits_equal(doc.r, ref.decode_real_matrix(data["R"], 2, 2))
+        assert doc.dumps() == ref.system_json(doc)
+        assert '"S":[[[1.0,0.0]]]' in doc.dumps()
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0)])
+    def test_empty_dimensions(self, n, m):
+        doc = SystemDocument(
+            form="general",
+            s=np.eye(m),
+            k=np.zeros((m, 2 * n), dtype=complex),
+            r=np.eye(2 * n),
+        )
+        self.check_system(doc)
+        stage = SlhSystem(s=np.eye(m), k=np.zeros((m, 2)), r=np.eye(2))
+        self.check_realization(
+            RealizationDocument(input_digest="x", stages=(stage,), v=np.eye(2))
+        )

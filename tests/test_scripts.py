@@ -2,7 +2,12 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import cascade_synth
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,3 +25,16 @@ def test_passive_batch_certifies_every_case(capsys):
     assert code == 0
     assert summary["ok"] is True
     assert summary["count"] == 20 and summary["failures"] == []
+
+
+def test_reference_example_runs_clean():
+    env = dict(os.environ, PYTHONPATH=str(Path(cascade_synth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reference_example.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "G(1+1j) =" in proc.stdout
+    assert proc.stderr == ""

@@ -57,11 +57,11 @@ class TestTransferFunction:
 
         expected = block_diag(s, s.conj())
         for point in (1.0, 2.0 + 3.0j, 0.5 - 7.0j):
-            assert max_abs(transfer_function(ss, point) - expected) == 0.0
+            assert max_abs(transfer_function(ss, [point])[0] - expected) == 0.0
 
     def test_large_frequency_approaches_direct_term(self):
         ss = build_state_space(random_system(3, 2, 12))
-        assert max_abs(transfer_function(ss, 1e8) - ss.d) <= 1e-4
+        assert max_abs(transfer_function(ss, [1e8])[0] - ss.d) <= 1e-4
 
     @given(st.integers(1, 4), st.integers(1, 3), seeds)
     @settings(max_examples=25, deadline=None)
@@ -71,15 +71,15 @@ class TestTransferFunction:
         s = complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)) * max(
             1.0, max_abs(ss.a)
         )
-        left = transfer_function(ss, np.conj(s))
-        right = transfer_function(ss, s)
+        left = transfer_function(ss, [np.conj(s)])[0]
+        right = transfer_function(ss, [s])[0]
         perm = swap_blocks(m)
         scale = max(1.0, max_abs(right))
         assert max_abs(left - perm @ right.conj() @ perm) <= 1e-10 * scale
 
     def test_zero_mode_system(self):
         ss = build_state_space(identity_system(2))
-        assert np.array_equal(transfer_function(ss, 1.0 + 1.0j), np.eye(4))
+        assert np.array_equal(transfer_function(ss, [1.0 + 1.0j])[0], np.eye(4))
 
     def test_rejects_frequency_on_spectrum(self):
         sys = SlhSystem(
@@ -90,8 +90,24 @@ class TestTransferFunction:
         ss = build_state_space(sys)
         assert max_abs(ss.a + 2.0 * np.eye(2)) == 0.0
         with pytest.raises(ResolventSingular):
-            transfer_function(ss, -2.0)
-        transfer_function(ss, -2.0 + 1.0j)
+            transfer_function(ss, [-2.0])
+        with pytest.raises(ResolventSingular, match=r"s = \(-2\+0j\)"):
+            transfer_function(ss, [1.0, -2.0, -2.0 + 1e-9j])
+        transfer_function(ss, [-2.0 + 1.0j])
+
+    def test_stack_matches_single_points(self):
+        ss = build_state_space(random_system(3, 2, 12))
+        points = [1.0 + 2.0j, 0.75, -0.5 + 3.0j, 1e3j]
+        stack = transfer_function(ss, points)
+        assert stack.shape == (4, 4, 4)
+        for point, value in zip(points, stack):
+            assert np.array_equal(transfer_function(ss, [point])[0], value)
+        assert transfer_function(ss, []).shape == (0, 4, 4)
+
+    def test_rejects_scalar_point(self):
+        ss = build_state_space(random_system(2, 1, 3))
+        with pytest.raises(ValueError):
+            transfer_function(ss, 1.0 + 1.0j)
 
 
 class TestCertifyEquivalence:
@@ -230,7 +246,7 @@ class TestCertificationRoutes:
         points = max_abs(ss.a) * (rng.uniform(0.5, 2.0, 5) + 1j * rng.uniform(-2.0, 2.0, 5))
         values = passive_route_values(sys, points)
         for point, value in zip(points, values):
-            oracle = transfer_function(ss, point)
+            oracle = transfer_function(ss, [point])[0]
             assert max_abs(value - oracle) <= 1e-12 * max_abs(oracle)
 
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (2, 0), (3, 0)])

@@ -20,6 +20,7 @@ from .model import (
     RealMatrix,
     SlhSystem,
     block_diag,
+    dropped_parts,
     pair_blocks,
     validation_defects,
 )
@@ -52,8 +53,8 @@ class CascadeChain:
         )
         if shaped:
             unitarity, asymmetry = validation_defects(
-                np.stack([st.s for st in stages[:shaped]]),
-                np.stack([st.r for st in stages[:shaped]]),
+                np.array([st.s for st in stages[:shaped]]),
+                np.array([st.r for st in stages[:shaped]]),
             )
             bad = np.flatnonzero(np.maximum(unitarity, asymmetry) > DEFAULT_TOL)
             if bad.size and unitarity[bad[0]] > DEFAULT_TOL:
@@ -184,17 +185,27 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     diagonal 2x2 block of R.  Cascading the stages reproduces (S, K, R)
     exactly once the residual interaction is added back, and with no
     residual at all when the drift matrix is lower 2x2-block triangular.
+    The stages share memory with the read-only arrays of sys, and the later
+    stages share one read-only identity.  What each stage drops on reduction
+    to annihilation variables, which is_passive compares, is measured for
+    all stages in one pass and stored with them.
     """
-    blocks = pair_blocks(sys.r)
-    eye = np.eye(sys.m, dtype=complex)
-    return tuple(
-        SlhSystem(
-            s=sys.s if j == 0 else eye,
-            k=sys.k[:, 2 * j : 2 * j + 2],
-            r=blocks[j, j],
-        )
-        for j in range(sys.n)
+    n, m = sys.n, sys.m
+    # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R, as views
+    k_stack = sys.k.reshape(m, n, 2).swapaxes(0, 1)
+    r_stack = pair_blocks(sys.r).diagonal().transpose(2, 0, 1)
+    eye = np.eye(m, dtype=complex)
+    eye.setflags(write=False)
+    stages = tuple(
+        SlhSystem(s=sys.s if j == 0 else eye, k=k_stack[j], r=r_stack[j])
+        for j in range(n)
     )
+    # fill each stage's _dropped cache from one pass over the stacks: the
+    # same values the stage would compute from its own arrays
+    dropped = zip(*(x.tolist() for x in dropped_parts(k_stack, r_stack)))
+    for stage, parts in zip(stages, dropped):
+        object.__setattr__(stage, "_dropped", parts)
+    return stages
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:

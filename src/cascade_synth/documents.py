@@ -282,6 +282,38 @@ class SystemDocument:
         return document_digest(self.to_dict())
 
 
+def _decode_stage(entry, path) -> SlhSystem:
+    _require(isinstance(entry["S"], list), "expected an array of rows", f"{path}.S")
+    m = len(entry["S"])
+    return SlhSystem(
+        s=_decode(entry["S"], m, m, f"{path}.S", True),
+        k=_decode(entry["K"], m, 2, f"{path}.K", True),
+        r=_decode(entry["R"], 2, 2, f"{path}.R", False),
+    )
+
+
+def _decode_stages(entries) -> list[SlhSystem]:
+    """Decode the stage objects of a realization document.  Each of S, K
+    and R is converted for all stages at once, with the field count of stage
+    0; only when that fails are the stages decoded one by one, each with its
+    own field count, so that a fault is named at its stage."""
+    for i, entry in enumerate(entries):
+        path = f"$.stages[{i}]"
+        _require(isinstance(entry, dict), "expected an object", path)
+        _require(set(entry) == {"S", "K", "R"}, "expected fields S, K, R", path)
+    first = entries[0]["S"]
+    if isinstance(first, list):
+        count, m = len(entries), len(first)
+        shapes = {"S": (count, m, m, 2), "K": (count, m, 2, 2), "R": (count, 2, 2)}
+        s, k, r = (_convert([entry[key] for entry in entries], shapes[key]) for key in "SKR")
+        if all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
+            s, k = s.view(complex)[..., 0], k.view(complex)[..., 0]
+            for a in (s, k, r):
+                a.setflags(write=False)  # so that the stages share, not copy, them
+            return [SlhSystem(s=s[i], k=k[i], r=r[i]) for i in range(count)]
+    return [_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries)]
+
+
 _REALIZATION_FIELDS = {"schema_version", "input_digest", "stages", "V", "residual_R", "reports"}
 
 
@@ -341,24 +373,7 @@ class RealizationDocument:
         _require(isinstance(data["input_digest"], str), "expected a string", "$.input_digest")
         _require(isinstance(data["stages"], list), "expected an array", "$.stages")
         _require(len(data["stages"]) > 0, "expected at least one stage", "$.stages")
-        stages = []
-        for i, entry in enumerate(data["stages"]):
-            path = f"$.stages[{i}]"
-            _require(isinstance(entry, dict), "expected an object", path)
-            _require(
-                set(entry) == {"S", "K", "R"}, "expected fields S, K, R", path
-            )
-            _require(
-                isinstance(entry["S"], list), "expected an array of rows", f"{path}.S"
-            )
-            m = len(entry["S"])
-            stages.append(
-                SlhSystem(
-                    s=_decode(entry["S"], m, m, f"{path}.S", True),
-                    k=_decode(entry["K"], m, 2, f"{path}.K", True),
-                    r=_decode(entry["R"], 2, 2, f"{path}.R", False),
-                )
-            )
+        stages = _decode_stages(data["stages"])
         nn = 2 * len(stages)
         v = None
         if "V" in data:

@@ -9,7 +9,9 @@ block indexing below is 2x2 on that ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,16 +28,17 @@ RealMatrix = NDArray[np.floating]
 
 DEFAULT_TOL = 1e-9
 
+_FLIP = np.array([1.0, -1.0])
+
 
 def max_abs(a) -> float:
     """Max-norm of a matrix (0 for empty arrays)."""
-    a = np.asarray(a)
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
 
 
 def stack_max(a) -> np.ndarray:
     """Max-norm of each matrix in a (k, p, q) stack (0 for empty matrices)."""
-    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+    return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
 
 
 def validation_defects(s, r):
@@ -46,6 +49,28 @@ def validation_defects(s, r):
     return (
         stack_max(np.swapaxes(s, -1, -2).conj() @ s - eye),
         stack_max(r - np.swapaxes(r, -1, -2)),
+    )
+
+
+def dropped_parts(k, r):
+    """For stacks k (..., m, 2n) and r (..., 2n, 2n) of couplings and
+    Hamiltonians, return the arrays (k_defect, r_defect, |K|_max, |R|_max)
+    over the stack: the max-norms of what the reduction to annihilation
+    variables drops, K - k_tilde Sigma, which is
+    |K Sigma^T|_max = |K[:, 0::2] + i K[:, 1::2]|_max / 2, and
+    R - Re(Sigma^dag r_tilde Sigma), which is
+    max(|R_qq - R_pp|, |R_qp + R_pq|) / 2, next to the norms they are
+    measured against."""
+    n = r.shape[-1] // 2
+    # row q of each 2x2 block of R is (R_qq, R_qp), row p reversed is
+    # (R_pp, R_pq), so one difference holds R_qq - R_pp and R_qp + R_pq
+    blocks = r.reshape(r.shape[:-2] + (n, 2, n, 2))
+    r_dropped = blocks[..., 0, :, :] - blocks[..., 1, :, ::-1] * _FLIP
+    return (
+        stack_max(k[..., 0::2] + 1j * k[..., 1::2]) / 2.0,
+        np.maximum.reduce(np.abs(r_dropped), axis=(-3, -2, -1), initial=0.0) / 2.0,
+        stack_max(k),
+        stack_max(r),
     )
 
 
@@ -98,24 +123,28 @@ def _readonly(a):
     return a
 
 
-def _as_complex(value, name):
-    a = np.array(value, dtype=complex)
+def _as_matrix(value, dtype, name):
+    """value as a read-only 2-d array of dtype with finite entries.  A
+    read-only array of that dtype is kept as it is, not copied."""
+    if isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable:
+        a = value
+    else:
+        a = _readonly(np.array(value, dtype=dtype))
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return _readonly(a)
+    return a
+
+
+def _as_complex(value, name):
+    return _as_matrix(value, complex, name)
 
 
 def _as_real(value, name):
-    if np.iscomplexobj(np.asarray(value)):
+    if np.iscomplexobj(value):
         raise ValueError(f"{name} must be real")
-    a = np.array(value, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return _readonly(a)
+    return _as_matrix(value, float, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +163,12 @@ class SlhSystem:
 
     Construction checks shapes and finiteness only; the unitarity and
     symmetry tolerances are enforced by :meth:`validate`, which the
-    state-space builder calls.
+    state-space builder calls.  The arrays are read-only: a read-only array
+    of the right dtype is shared, any other input is copied.  The structural
+    quantities that need no tolerance (the validation residuals, the drift
+    and its triangularity residual, the reduction to annihilation variables
+    and what it drops) are therefore computed once per system, on first
+    use, and every check compares them against its own tolerance.
     """
 
     s: ComplexMatrix
@@ -168,14 +202,46 @@ class SlhSystem:
         """Number of input/output fields."""
         return self.s.shape[0]
 
+    @cached_property
+    def _defects(self) -> tuple[float, float]:
+        """(|S^dag S - I|_max, |R - R^T|_max), the residuals validate bounds."""
+        unitarity, asymmetry = validation_defects(self.s[None], self.r[None])
+        return float(unitarity[0]), float(asymmetry[0])
+
+    @cached_property
+    def _drift(self) -> tuple[RealMatrix, float, float]:
+        """(A, the max-norm of its 2x2 blocks strictly above the block
+        diagonal, |A|_max) for the drift A of drift_matrix."""
+        a = _readonly(drift_matrix(self))
+        return a, max_abs(pair_blocks(a)[~np.tri(self.n, dtype=bool)]), max_abs(a)
+
+    @cached_property
+    def _reduction(self) -> tuple[ComplexMatrix, ComplexMatrix]:
+        """(k_tilde, r_tilde), the reduction of (K, R) to annihilation
+        variables by slicing: k_tilde = 2 K Sigma^dag = K[:, 0::2] -
+        i K[:, 1::2], and r_tilde = 8 Sigma R Sigma^dag is
+        2 (R_qq + R_pp) + 2i (R_pq - R_qp) on the four strided quarters of R
+        (R_qp = R[0::2, 1::2], and so on)."""
+        k, r = self.k, self.r
+        qq, qp, pq, pp = r[0::2, 0::2], r[0::2, 1::2], r[1::2, 0::2], r[1::2, 1::2]
+        return (
+            _readonly(k[:, 0::2] - 1j * k[:, 1::2]),
+            _readonly(2.0 * (qq + pp) + 2j * (pq - qp)),
+        )
+
+    @cached_property
+    def _dropped(self) -> tuple[float, float, float, float]:
+        """(k_defect, r_defect, |K|_max, |R|_max) of dropped_parts."""
+        return tuple(float(x[0]) for x in dropped_parts(self.k[None], self.r[None]))
+
     def validate(self, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL) -> "SlhSystem":
         """Check unitarity of S and symmetry of R, raising on failure."""
-        unitarity, asymmetry = validation_defects(self.s[None], self.r[None])
-        if unitarity[0] > tol_unitary:
+        unitarity, asymmetry = self._defects
+        if unitarity > tol_unitary:
             raise NonUnitaryScattering(
                 f"S fails unitarity at tolerance {tol_unitary:.1e}"
             )
-        if asymmetry[0] > tol_sym:
+        if asymmetry > tol_sym:
             raise NonSymmetricR(f"R fails symmetry at tolerance {tol_sym:.1e}")
         return self
 
@@ -298,50 +364,26 @@ def build_state_space(
     column halves, mirroring the conjugate structure of the doubled fields.
     """
     sys.validate(tol_unitary, tol_sym)
-    a = drift_matrix(sys)
+    a = sys._drift[0]
     b = 2j * theta_times(np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()]))
     c = np.vstack([sys.k, sys.k.conj()])
     d = block_diag(sys.s, sys.s.conj())
     return DoubledStateSpace(a=a, b=b, c=c, d=d)
 
 
-def annihilation_parts(sys: SlhSystem, tol=DEFAULT_TOL, floor=1.0):
-    """Reduce (K, R) to annihilation variables by slicing, and test what the
-    reduction drops.
-
-    Returns (k_tilde, r_tilde, passive).  k_tilde = 2 K Sigma^dag =
-    K[:, 0::2] - i K[:, 1::2], and r_tilde = 8 Sigma R Sigma^dag is
-    2 (R_qq + R_pp) + 2i (R_pq - R_qp) on the four strided quarters of R
-    (R_qp = R[0::2, 1::2], and so on).  The parts dropped are K - k_tilde
-    Sigma, whose max-norm is |K Sigma^T|_max, and R - Re(Sigma^dag r_tilde
-    Sigma), whose max-norm is max(|R_qq - R_pp|, |R_qp + R_pq|)/2.  passive
-    is True iff each is at most tol * max(floor, |K|_max), resp. tol *
-    max(floor, |R|_max).
-    """
-    k, r = sys.k, sys.r
-    kq, kp = k[:, 0::2], k[:, 1::2]
-    qq, qp, pq, pp = r[0::2, 0::2], r[0::2, 1::2], r[1::2, 0::2], r[1::2, 1::2]
-    k_defect = max_abs(kq + 1j * kp) / 2.0
-    r_defect = max(max_abs(qq - pp), max_abs(qp + pq)) / 2.0
-    passive = (
-        k_defect <= tol * max(floor, max_abs(k))
-        and r_defect <= tol * max(floor, max_abs(r))
-    )
-    return kq - 1j * kp, 2.0 * (qq + pp) + 2j * (pq - qp), passive
-
-
 def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:
     """Test whether (S, K, R) is expressible in annihilation variables alone.
 
-    True iff the coupling annihilates creation directions,
-    |K Sigma^T|_max <= tol * max(1, |K|_max), and R is reconstructed from its
-    Hermitian reduction, |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max
-    <= tol * max(1, |R|_max) (see annihilation_parts).  The max(1, .) floor
-    keeps the test meaningful for couplings that are zero up to rounding
-    noise, where a purely relative threshold would compare noise against
-    noise.
+    With sigma = |R|_max + |K|_max^2, true iff the coupling annihilates
+    creation directions, |K Sigma^T|_max <= tol * sqrt(sigma), and R is
+    reconstructed from its Hermitian reduction,
+    |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max <= tol * sigma.
+    sigma carries the units of the drift R + Im(K^dag K), so the verdict is
+    the same at every scale of the system; the zero system is passive.
     """
-    return annihilation_parts(sys, tol)[2]
+    k_defect, r_defect, k_max, r_max = sys._dropped
+    sigma = r_max + k_max**2
+    return k_defect <= tol * math.sqrt(sigma) and r_defect <= tol * sigma
 
 
 def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
@@ -349,13 +391,14 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
 
     k_tilde = 2 K Sigma^dag and r_tilde = 8 Sigma R Sigma^dag invert the
     quadrature expansion K = k_tilde Sigma, R = Re(Sigma^dag r_tilde Sigma);
-    offset = trace(r_tilde)/4 keeps the Hamiltonian scalar part.
+    offset = trace(r_tilde)/4 keeps the Hamiltonian scalar part.  Raises
+    NotPassive when is_passive(sys, tol) is false.
     """
-    k_tilde, r_tilde, passive = annihilation_parts(sys, tol)
-    if not passive:
+    if not is_passive(sys, tol):
         raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
+    k_tilde, r_tilde = sys._reduction
     return PassiveForm(
-        r_tilde=r_tilde, k_tilde=k_tilde, offset=float(np.trace(r_tilde).real) / 4.0
+        r_tilde=r_tilde, k_tilde=k_tilde, offset=float(r_tilde.trace().real) / 4.0
     )
 
 

@@ -23,6 +23,7 @@ from .model import (
     PassiveForm,
     RealMatrix,
     SlhSystem,
+    _as_real,
     max_abs,
     realify,
     to_passive_form,
@@ -42,14 +43,9 @@ class SymplecticTransform:
     v: RealMatrix
 
     def __post_init__(self):
-        if np.iscomplexobj(np.asarray(self.v)):
-            raise ValueError("V must be real")
-        v = np.array(self.v, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
+        v = _as_real(self.v, "V")
+        if v.shape[0] != v.shape[1] or v.shape[0] % 2:
             raise ValueError(f"V must be square with even dimension, got {v.shape}")
-        if v.size and not np.all(np.isfinite(v)):
-            raise ValueError("V contains non-finite entries")
-        v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
     @property
@@ -86,24 +82,26 @@ def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
 
     Obtained from the standard upper-triangular complex Schur decomposition
     by conjugating with the antidiagonal permutation P: if M = Z T Z^dag with
-    T upper triangular, then U = P Z^dag and M_hat = P T P.
+    T upper triangular, then U = P Z^dag and M_hat = P T P, taken by
+    reversing the order of rows and columns.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"M must be square, got {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("M contains non-finite entries")
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
     import scipy.linalg  # only Schur needs scipy; the other CLI paths skip its import
 
     try:
-        t, z = scipy.linalg.schur(m, output="complex")
+        # finiteness is checked above
+        t, z = scipy.linalg.schur(m, output="complex", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Schur iteration failed to converge: {exc}") from exc
-    p = np.eye(n)[::-1]
-    return p @ z.conj().T, p @ t @ p
+    # + 0.0 turns every zero into +0.0: conjugation leaves -0.0 in zero
+    # imaginary parts, which V = realify(U) and the documents would carry
+    return z.conj().T[::-1] + 0.0, t[::-1, ::-1] + 0.0
 
 
 def build_symplectic(u: ComplexMatrix, tol_unitary=DEFAULT_TOL) -> SymplecticTransform:

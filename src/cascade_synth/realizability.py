@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .composition import CascadeChain, one_mode_stages
 from .errors import NotCascadeRealizable
-from .model import DEFAULT_TOL, SlhSystem, drift_matrix, max_abs, pair_blocks
+from .model import DEFAULT_TOL, SlhSystem
 
 
 @dataclass(frozen=True)
@@ -35,13 +33,13 @@ class TriangularityReport:
 
 
 def is_cascade_realizable(sys: SlhSystem, tol=DEFAULT_TOL) -> TriangularityReport:
-    """Test whether the drift matrix is lower 2x2-block triangular.  Raises
-    ValueError for a system with no modes, which has no cascade to test."""
+    """Test whether the drift matrix is lower 2x2-block triangular.  The
+    drift and its residual are computed once per system, so a second call
+    on the same system, at any tolerance, only compares.  Raises ValueError
+    for a system with no modes, which has no cascade to test."""
     if sys.n == 0:
         raise ValueError("a system with no modes has no cascade")
-    a = drift_matrix(sys)
-    residual = max_abs(pair_blocks(a)[~np.tri(sys.n, dtype=bool)])
-    scale = max_abs(a)
+    _, residual, scale = sys._drift
     return TriangularityReport(
         is_triangular=residual <= tol * scale,
         max_upper_residual=residual,

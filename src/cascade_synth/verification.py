@@ -8,6 +8,7 @@ the canonical commutation relations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ from .errors import OddDimension, ResolventSingular, ScatteringMismatch
 from .model import (
     DoubledStateSpace,
     SlhSystem,
-    annihilation_parts,
     build_state_space,
     max_abs,
     stack_max,
@@ -46,22 +46,27 @@ class EquivalenceReport:
 
 
 def _evaluate(a, b, c, d, points) -> np.ndarray:
-    """Return the (k, p, q) stack of c (sI - a)^{-1} b + d at the k points.
+    """Return the (..., k, p, q) stack of c (sI - a)^{-1} b + d at the k
+    points, for state spaces a (..., nn, nn), b, c and d stacked along the
+    same leading axes (none for a single system).
 
     Each resolvent is a pivoted LU solve on a stack of sI - a, never an
-    explicit inverse; a stack holds at most STACK_ENTRIES matrix entries, so
-    that memory stays flat at large n.  Raises LinAlgError when some
-    sI - a is exactly singular.
+    explicit inverse; a stack holds at most STACK_ENTRIES matrix entries,
+    counted over the leading axes too, so that memory stays flat at large
+    n.  b is given as many dimensions as the stack of sI - a, which NumPy
+    before 2.0 needs to read it as matrices and not as a stack of vectors.
+    Raises LinAlgError when some sI - a is exactly singular.
     """
-    values = np.repeat(d[None], len(points), axis=0)
-    nn = a.shape[0]
+    values = np.repeat(d[..., None, :, :], len(points), axis=-3)
+    nn = a.shape[-1]
     if nn == 0 or values.size == 0:
         return values
     eye = np.eye(nn)
-    step = max(1, STACK_ENTRIES // (nn * nn))
+    step = max(1, STACK_ENTRIES // (math.prod(a.shape[:-2]) * nn * nn))
+    a, b, c = a[..., None, :, :], b[..., None, :, :], c[..., None, :, :]
     for lo in range(0, len(points), step):
         s = points[lo : lo + step, None, None]
-        values[lo : lo + step] += c @ np.linalg.solve(s * eye - a, b)
+        values[..., lo : lo + step, :, :] += c @ np.linalg.solve(s * eye - a, b)
     return values
 
 
@@ -87,12 +92,22 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
         raise ResolventSingular("resolvent solve failed at one of the given points") from exc
 
 
-def _mode_response(k_tilde, r_tilde, scattering, points) -> np.ndarray:
-    """G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S at the points, with
+def _mode_space(sys: SlhSystem):
+    """(2M, k_tilde^dag S, -k_tilde, S), the n x n state space of
+    G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S with
     2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde: the annihilation block
     of the doubled-up transfer function of a passive system."""
-    two_m = -0.5j * r_tilde - 0.5 * (k_tilde.conj().T @ k_tilde)
-    return _evaluate(two_m, k_tilde.conj().T @ scattering, -k_tilde, scattering, points)
+    k_tilde, r_tilde = sys._reduction
+    k_dag = k_tilde.conj().T
+    return -0.5j * r_tilde - 0.5 * (k_dag @ k_tilde), k_dag @ sys.s, -k_tilde, sys.s
+
+
+def _in_annihilation_variables(sys: SlhSystem, eps) -> bool:
+    """True when the reduction to annihilation variables drops at most eps
+    of |K|_max and |R|_max, and R is symmetric to eps of |R|_max: relative
+    bounds with no floor."""
+    k_defect, r_defect, k_max, r_max = sys._dropped
+    return k_defect <= eps * k_max and r_defect <= eps * r_max and sys._defects[1] <= eps * r_max
 
 
 def _draw(rng, count, scale) -> np.ndarray:
@@ -135,11 +150,11 @@ def certify_equivalence(
     a signed permutation.  There is no unit floor on the scale, so samples
     sit among the poles at every scale of the systems.  Both systems must
     pass SlhSystem.validate.  G is evaluated at all samples in one stacked
-    solve per system, by one of two routes:
+    solve over the pair, by one of two routes:
 
     - Passive pair: when both systems drop at most eps = tol/100 of |K|_max
       and |R|_max, relative and with no floor, on reduction to annihilation
-      variables (annihilation_parts), and R is symmetric to the same eps,
+      variables, and R is symmetric to the same eps,
       G(s) = diag(G_-(s), G_-(conj s)^#) with
       G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S, n x n solves in
       place of 2n x 2n.  The numerical range of 2M = -(i/2) r_tilde -
@@ -168,26 +183,18 @@ def certify_equivalence(
     scale = max(_drift_max(x) for x in systems) or 1.0
     rng = np.random.default_rng(seed)
     eps = tol / 100.0
-    parts = [annihilation_parts(x, eps, floor=0.0) for x in systems]
-    if all(
-        passive and max_abs(x.r - x.r.T) <= eps * max_abs(x.r)
-        for x, (_, _, passive) in zip(systems, parts)
-    ):
+    if all(_in_annihilation_variables(x, eps) for x in systems):
+        spaces = [_mode_space(x) for x in systems]
         points = _draw(rng, n_samples, scale)
-        both = np.concatenate([points, points.conj()])
-        v1, v2 = (
-            _mode_response(k_tilde, r_tilde, x.s, both)
-            for x, (k_tilde, r_tilde, _) in zip(systems, parts)
-        )
-        # sample i is G_-(s_i) and G_-(conj s_i)^#; the conjugate moves no max-norm
-        mismatch = stack_max(v1 - v2).reshape(2, n_samples).max(axis=0)
-        size = stack_max(v1).reshape(2, n_samples).max(axis=0)
+        points = np.concatenate([points, points.conj()])
     else:
-        ss1, ss2 = (build_state_space(x) for x in systems)
-        spectrum = np.concatenate([np.linalg.eigvals(ss1.a), np.linalg.eigvals(ss2.a)])
+        spaces = [(ss.a, ss.b, ss.c, ss.d) for ss in map(build_state_space, systems)]
+        spectrum = np.concatenate([np.linalg.eigvals(a) for a, _, _, _ in spaces])
         points = _accepted_points(rng, n_samples, scale, spectrum)
-        v1, v2 = (_evaluate(ss.a, ss.b, ss.c, ss.d, points) for ss in (ss1, ss2))
-        mismatch, size = stack_max(v1 - v2), stack_max(v1)
+    v1, v2 = _evaluate(*(np.array(mats) for mats in zip(*spaces)), points)
+    # a passive sample i is G_-(s_i) and G_-(conj s_i)^#; the conjugate moves no max-norm
+    mismatch = stack_max(v1 - v2).reshape(-1, n_samples).max(axis=0)
+    size = stack_max(v1).reshape(-1, n_samples).max(axis=0)
     worst = float((mismatch / np.maximum(1.0, size)).max())
     return EquivalenceReport(
         max_rel_mismatch=worst,

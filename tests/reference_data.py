@@ -170,3 +170,28 @@ R_PRIME = np.array(
 
 # Stage Hamiltonian levels R'_kk = lambda'_k * I of the cascade realization.
 STAGE_LEVELS = np.array([0.7912, 0.4588])
+
+
+def triangularity_oracle(sys, tol):
+    """(is_triangular, max_upper_residual, scale) of the drift
+    A = 2 Theta (R + Im(K^dag K)) with the loop-built Theta, the residual
+    taken block by block over the strictly upper 2x2 blocks."""
+    a = 2.0 * symplectic_form(sys.n) @ (sys.r + np.imag(sys.k.conj().T @ sys.k))
+    worst = 0.0
+    for j in range(sys.n):
+        for k in range(j + 1, sys.n):
+            worst = max(worst, float(np.abs(a[2 * j : 2 * j + 2, 2 * k : 2 * k + 2]).max()))
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    return worst <= tol * scale, worst, scale
+
+
+def passivity_oracle(sys, tol):
+    """The passivity verdict from the loop-built Sigma: the dropped parts
+    |K Sigma^T|_max and |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max
+    against tol * sqrt(sigma) and tol * sigma, sigma = |R|_max + |K|_max^2."""
+    sg = annihilation_map(sys.n)
+    k_defect = np.abs(sys.k @ sg.T).max(initial=0.0)
+    r_tilde = 8 * sg @ sys.r @ sg.conj().T
+    r_defect = np.abs(sys.r - (sg.conj().T @ r_tilde @ sg).real).max(initial=0.0)
+    sigma = np.abs(sys.r).max(initial=0.0) + np.abs(sys.k).max(initial=0.0) ** 2
+    return bool(k_defect <= tol * np.sqrt(sigma) and r_defect <= tol * sigma)

@@ -22,6 +22,7 @@ from cascade_synth import (
 from cascade_synth import cli
 from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_system
+from test_model import bumped_passive
 
 import reference_data as ref
 
@@ -166,6 +167,29 @@ class TestPassiveRealize:
         path = write_doc(tmp_path, "active.json", SystemDocument.from_system(sys_))
         code, payload = run_cli(capsys, "passive-realize", path)
         assert code == 3 and payload["kind"] == "precondition"
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0])
+    def test_small_non_passive_part_is_precondition(self, capsys, tmp_path, c):
+        _, bumped = bumped_passive(c)
+        path = write_doc(tmp_path, "bumped.json", SystemDocument.from_system(bumped))
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 3 and payload["kind"] == "precondition"
+
+    def test_drift_of_realized_system_built_once(
+        self, capsys, monkeypatch, drift_calls, reference_doc
+    ):
+        realized = []
+
+        def realize(system, tol):
+            realized.append(passive_realize(system, tol))
+            return realized[0]
+
+        monkeypatch.setattr(cli, "passive_realize", realize)
+        path, _ = reference_doc
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 0
+        assert payload["reports"]["triangularity"]["is_triangular"] is True
+        assert [s for s in drift_calls if s is realized[0].system] == [realized[0].system]
 
     @staticmethod
     def _bent_stage(realization):

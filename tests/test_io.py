@@ -7,6 +7,7 @@ import pytest
 
 from cascade_synth import (
     BadResidual,
+    FieldCountMismatch,
     ParseError,
     RealizationDocument,
     SlhSystem,
@@ -75,6 +76,49 @@ MALFORMED_ROWS = [
     ),
     pytest.param("K", _set_cell([float("inf"), 0.0]), "$.K", "non-finite entry", id="K-Infinity"),
     pytest.param("K", _set_cell([0.0, float("nan")]), "$.K", "non-finite entry", id="K-NaN"),
+]
+
+def _three_fields(stage):
+    """Stage S becomes the 3 x 3 identity; K keeps its two rows."""
+    stage["S"] = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+
+
+def _set(field, *index, value):
+    def change(stage):
+        target = stage[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+
+    return change
+
+
+# A change to one stage of a five-stage, two-field realization document, and
+# the ParseError path and message the stage-by-stage decoder gave for it.
+MALFORMED_STAGES = [
+    pytest.param(3, _three_fields, "$.stages[3].K", "expected 3 rows, got 2", id="m-changes"),
+    pytest.param(
+        2, _set("K", 1, 0, value=True), "$.stages[2].K[1][0]", "expected a [re, im] pair",
+        id="K-true",
+    ),
+    pytest.param(
+        2, _set("K", 1, 0, 1, value=True), "$.stages[2].K[1][0]", "expected a [re, im] pair",
+        id="K-bool-part",
+    ),
+    pytest.param(
+        4, lambda st: st["R"].append([0.0, 0.0]), "$.stages[4].R", "expected 2 rows, got 3",
+        id="R-3x2",
+    ),
+    pytest.param(
+        0, lambda st: st["K"][0].pop(), "$.stages[0].K[0]", "expected 2 columns, got 1",
+        id="K-short-row",
+    ),
+    pytest.param(
+        1, _set("R", 0, 0, value=float("inf")), "$.stages[1].R", "non-finite entry", id="R-Infinity"
+    ),
+    pytest.param(
+        1, lambda st: st.update(S="x"), "$.stages[1].S", "expected an array of rows", id="S-string"
+    ),
 ]
 
 # Finite doubles at the edges of binary64: signed zeros, subnormals, the
@@ -302,6 +346,45 @@ class TestRealizationDocument:
 
     def test_rejects_unknown_field(self):
         assert self.parse(lambda d: d.update(zz=1)).path == "$"
+
+
+class TestRealizationStages:
+    """Stages are decoded for all stages at once; a fault is still named at
+    its stage."""
+
+    @staticmethod
+    def data():
+        chain = random_chain(5, 2, 8)
+        return RealizationDocument(input_digest="0", stages=chain.stages).to_dict()
+
+    @pytest.mark.parametrize("index, change, path, message", MALFORMED_STAGES)
+    def test_rejects_malformed_stage(self, index, change, path, message):
+        data = self.data()
+        change(data["stages"][index])
+        with pytest.raises(ParseError) as exc:
+            RealizationDocument.from_dict(data)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_field_count_change_is_found_by_the_chain(self):
+        data = self.data()
+        stage = data["stages"][3]
+        _three_fields(stage)
+        stage["K"].append([[0.5, 0.0], [0.0, 0.5]])
+        doc = RealizationDocument.from_dict(data)
+        assert [st.m for st in doc.stages] == [2, 2, 2, 3, 2]
+        with pytest.raises(FieldCountMismatch):
+            doc.to_chain()
+
+    def test_stages_match_cell_by_cell_decoder(self):
+        data = self.data()
+        doc = RealizationDocument.from_dict(data)
+        for stage, entry in zip(doc.stages, data["stages"]):
+            assert_bits_equal(stage.s, ref.decode_complex_matrix(entry["S"], 2, 2))
+            assert_bits_equal(stage.k, ref.decode_complex_matrix(entry["K"], 2, 2))
+            assert_bits_equal(stage.r, ref.decode_real_matrix(entry["R"], 2, 2))
+            with pytest.raises(ValueError):
+                stage.r[0, 0] = 1.0
 
 
 class TestCodecOracle:

@@ -1,5 +1,7 @@
 """Structural constants, domain types, state-space construction, passivity."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,20 @@ from cascade_synth import (
     drift_matrix,
     from_passive_form,
     identity_system,
+    is_cascade_realizable,
     is_passive,
     max_abs,
+    one_mode_stages,
     to_passive_form,
 )
 from cascade_synth.model import realify, theta_times
-from cascade_synth.sampling import _complex_gaussian, random_passive_system, random_system
+from cascade_synth.sampling import (
+    _complex_gaussian,
+    random_passive_form,
+    random_passive_system,
+    random_system,
+    random_unitary,
+)
 
 import reference_data as ref
 from reference_data import J2, annihilation_map, symplectic_form
@@ -232,6 +242,124 @@ class TestIsPassive:
                 s=sys.s, k=sys.k + e @ annihilation_map(n).conj(), r=sys.r
             )
             assert not is_passive(bad)
+
+
+def bumped_passive(c):
+    """A 3-mode passive system with R_tilde scaled by c and K_tilde by
+    sqrt(c), and the same system with 10% of |R|_max added to R[0, 0], a part
+    outside annihilation variables."""
+    pf = random_passive_form(3, 2, 0)
+    sys = from_passive_form(
+        PassiveForm(r_tilde=c * pf.r_tilde, k_tilde=np.sqrt(c) * pf.k_tilde),
+        random_unitary(2, 1),
+    )
+    r = np.array(sys.r)
+    r[0, 0] += 0.1 * max_abs(r)
+    return sys, SlhSystem(s=sys.s, k=sys.k, r=r)
+
+
+class TestPassivityScale:
+    def test_small_non_passive_part_is_caught_at_small_scale(self):
+        for c in (1.0, 1e-9):
+            _, bumped = bumped_passive(c)
+            assert not is_passive(bumped)
+            with pytest.raises(NotPassive):
+                to_passive_form(bumped)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e8])
+    def test_verdicts_hold_at_every_scale(self, c):
+        sys, bumped = bumped_passive(c)
+        assert is_passive(sys) and ref.passivity_oracle(sys, 1e-9)
+        assert not is_passive(bumped) and not ref.passivity_oracle(bumped, 1e-9)
+
+    def test_scale_mixes_coupling_and_hamiltonian_units(self):
+        # sigma = |R|_max + |K|_max^2: a coupling defect is measured against
+        # sqrt(sigma), a Hamiltonian defect against sigma
+        k = np.array([[1e-3, 0.0]], dtype=complex)  # K Sigma^T = 5e-4, not passive
+        r = np.eye(2)
+        assert not is_passive(SlhSystem(s=np.eye(1), k=k, r=r), 1e-4)
+        assert is_passive(SlhSystem(s=np.eye(1), k=k, r=r), 1e-3)
+        r = np.diag([1.0, 1.0 + 1e-6])  # dropped Hamiltonian 5e-7
+        k = np.array([[1e3, 1e3j]])  # passive, |K|_max^2 = 1e6
+        assert is_passive(SlhSystem(s=np.eye(1), k=k, r=r), 1e-12)
+        assert not is_passive(SlhSystem(s=np.eye(1), k=k * 1e-3, r=r), 1e-7)
+
+
+def count_computations(monkeypatch, name):
+    """Replace the cached property name of SlhSystem by one that records
+    each system it computes for."""
+    computed = []
+    compute = SlhSystem.__dict__[name].func
+
+    def recording(self):
+        computed.append(self)
+        return compute(self)
+
+    prop = cached_property(recording)
+    prop.__set_name__(SlhSystem, name)
+    monkeypatch.setattr(SlhSystem, name, prop)
+    return computed
+
+
+class TestComputeOnce:
+    def test_arrays_are_read_only(self):
+        sys = random_system(2, 2, 3)
+        for a in (sys.s, sys.k, sys.r):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_writeable_input_is_copied_and_read_only_input_shared(self):
+        r = np.array(random_system(2, 1, 4).r)
+        before = r.copy()
+        sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 4)), r=r)
+        r[0, 0] += 1.0
+        assert np.array_equal(sys.r, before)
+        again = SlhSystem(s=sys.s, k=sys.k, r=sys.r)
+        assert again.s is sys.s and again.k is sys.k and again.r is sys.r
+
+    def test_passivity_reduction_computed_once(self, monkeypatch):
+        computed = count_computations(monkeypatch, "_dropped")
+        sys = random_passive_system(3, 2, 9)
+        off = SlhSystem(s=sys.s, k=sys.k, r=sys.r + np.diag([1e-6, 0, 0, 0, 0, 0]))
+        for tol in (1e-9, 1e-3, 1e-9):
+            assert is_passive(sys, tol) is ref.passivity_oracle(sys, tol) is True
+            assert is_passive(off, tol) is ref.passivity_oracle(off, tol) is (tol == 1e-3)
+        assert computed == [sys, off]
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 2, 13), (5, 3, 14), (4, 0, 15)])
+    def test_stage_split_measures_stage_passivity(self, monkeypatch, n, m, seed):
+        sys = random_passive_system(n, m, seed)
+        computed = count_computations(monkeypatch, "_dropped")
+        for system in (sys, random_system(n, m, seed)):
+            stages = one_mode_stages(system)
+            verdicts = [is_passive(stage) for stage in stages]
+            assert computed == []
+            for stage, verdict in zip(stages, verdicts):
+                fresh = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
+                assert stage._dropped == fresh._dropped
+                assert verdict is ref.passivity_oracle(fresh, 1e-9)
+            computed.clear()
+
+    def test_validation_residuals_computed_once(self, monkeypatch):
+        computed = count_computations(monkeypatch, "_defects")
+        sys = random_system(2, 2, 11)
+        r = np.array(sys.r)
+        r[0, 1] += 1e-6
+        bent = SlhSystem(s=sys.s, k=sys.k, r=r)
+        assert bent.validate(tol_sym=1e-3) is bent
+        with pytest.raises(NonSymmetricR):
+            bent.validate()
+        assert computed == [bent]
+
+    def test_drift_computed_once(self, drift_calls):
+        sys = random_system(3, 2, 12)
+        for tol in (1e-9, 10.0, 1e-9):
+            report = is_cascade_realizable(sys, tol)
+            oracle = ref.triangularity_oracle(sys, tol)
+            assert (report.is_triangular, report.max_upper_residual, report.scale) == oracle
+            assert report.is_triangular is (tol == 10.0)
+        assert np.array_equal(build_state_space(sys).a, drift_matrix(sys))
+        assert drift_calls == [sys]
 
 
 class TestPassiveFormMaps:

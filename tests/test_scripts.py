@@ -25,6 +25,19 @@ def test_passive_batch_certifies_every_case(capsys):
     assert code == 0
     assert summary["ok"] is True
     assert summary["count"] == 20 and summary["failures"] == []
+    assert summary["cases_per_s"] > 0
+    by_modes = summary["by_modes"]
+    assert set(by_modes) <= {str(n) for n in range(1, 6)}
+    assert sum(entry["cases"] for entry in by_modes.values()) == 20
+    keys = ("max_rel_mismatch", "max_upper_residual")
+    for entry in by_modes.values():
+        for key in keys:
+            dist = entry[key]
+            assert set(dist) == {"p50", "p95", "max"}
+            assert 0.0 <= dist["p50"] <= dist["p95"] <= dist["max"]
+    worst = {key: max(e[key]["max"] for e in by_modes.values()) for key in keys}
+    assert worst["max_rel_mismatch"] == summary["worst_transfer_mismatch"]
+    assert worst["max_upper_residual"] == summary["worst_upper_residual"]
 
 
 def test_reference_example_runs_clean():

@@ -23,7 +23,6 @@ from cascade_synth import (
     max_abs,
     transfer_function,
 )
-from cascade_synth.model import annihilation_parts
 from cascade_synth.sampling import (
     random_passive_form,
     random_passive_system,
@@ -31,7 +30,8 @@ from cascade_synth.sampling import (
     random_system,
     random_unitary,
 )
-from cascade_synth.verification import _mode_response
+from cascade_synth import verification
+from cascade_synth.verification import _evaluate, _mode_space
 
 import reference_data as ref
 
@@ -208,9 +208,8 @@ def scaled_passive(seed, c, s):
 
 def passive_route_values(sys, points):
     """The doubled-up G that the passive route builds, diag(G_-(s), G_-(conj s)^#)."""
-    k_tilde, r_tilde, _ = annihilation_parts(sys)
     both = np.concatenate([points, points.conj()])
-    minus = _mode_response(k_tilde, r_tilde, sys.s, both).reshape(2, len(points), sys.m, sys.m)
+    minus = _evaluate(*_mode_space(sys), both).reshape(2, len(points), sys.m, sys.m)
     values = np.zeros((len(points), 2 * sys.m, 2 * sys.m), dtype=complex)
     values[:, : sys.m, : sys.m] = minus[0]
     values[:, sys.m :, sys.m :] = minus[1].conj()
@@ -233,7 +232,7 @@ class TestCertificationRoutes:
         r[0, 0] += bump
         r[1, 1] -= bump
         bumped = SlhSystem(s=sys.s, k=sys.k, r=r)
-        assert is_passive(bumped, 1e-9)  # the unit floor hides the bump
+        assert not is_passive(bumped, 1e-9)  # the bump is 10% of the drift scale
         # the passive route would drop the bump and certify the pair
         report = certify_equivalence(sys, bumped)
         assert not report.verdict
@@ -259,6 +258,60 @@ class TestCertificationRoutes:
             report = certify_equivalence(a, b, n_samples=5)
             assert report.verdict and report.max_rel_mismatch == 0.0
             assert report.samples_used == 5
+
+
+def evaluate_oracle(a, b, c, d, points):
+    """c (sI - a)^{-1} b + d one point at a time, with 2-d solves."""
+    eye = np.eye(a.shape[0])
+    return np.array([c @ np.linalg.solve(s * eye - a, b) + d for s in points])
+
+
+def random_space(rng, nn, p, q):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return cplx(nn, nn), cplx(nn, q), cplx(p, nn), cplx(p, q)
+
+
+class TestEvaluateKernel:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Record the shapes of (sI - a, b) of every solve the kernel runs."""
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            shapes.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(verification.np.linalg, "solve", recording)
+        return shapes
+
+    @pytest.mark.parametrize("nn, p, q", [(3, 2, 2), (4, 4, 4), (6, 2, 3)])
+    def test_matches_loop_oracle_with_as_many_points_as_states(self, solves, nn, p, q):
+        # with k == nn a 2-d b against a 3-d a is ambiguous before NumPy 2.0
+        rng = np.random.default_rng(nn)
+        points = 3.0 + rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
+        one = random_space(rng, nn, p, q)
+        other = random_space(rng, nn, p, q)
+        single = _evaluate(*one, points)
+        pair = _evaluate(*(np.array(mats) for mats in zip(one, other)), points)
+        oracle = evaluate_oracle(*one, points)
+        assert single.shape == (nn, p, q) and pair.shape == (2, nn, p, q)
+        assert max_abs(single - oracle) <= 1e-12 * max_abs(oracle)
+        assert np.array_equal(pair[0], single)
+        assert max_abs(pair[1] - evaluate_oracle(*other, points)) <= 1e-12 * max_abs(oracle)
+        assert all(len(a) == len(b) for a, b in solves)
+
+    def test_pair_counts_against_stack_entries(self, solves, monkeypatch):
+        monkeypatch.setattr(verification, "STACK_ENTRIES", 64)
+        rng = np.random.default_rng(5)
+        spaces = [random_space(rng, 4, 2, 2) for _ in range(2)]
+        points = 2.0 + 1j * rng.standard_normal(7)
+        pair = _evaluate(*(np.array(mats) for mats in zip(*spaces)), points)
+        assert [a for a, _ in solves] == [(2, 2, 4, 4)] * 3 + [(2, 1, 4, 4)]
+        for value, space in zip(pair, spaces):
+            assert max_abs(value - evaluate_oracle(*space, points)) <= 1e-12 * max_abs(value)
 
 
 class TestCertifySymplectic:

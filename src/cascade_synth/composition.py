@@ -19,9 +19,10 @@ from .model import (
     DEFAULT_TOL,
     RealMatrix,
     SlhSystem,
+    _readonly,
     block_diag,
-    dropped_parts,
     pair_blocks,
+    split_systems,
     validation_defects,
 )
 
@@ -186,26 +187,15 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     exactly once the residual interaction is added back, and with no
     residual at all when the drift matrix is lower 2x2-block triangular.
     The stages share memory with the read-only arrays of sys, and the later
-    stages share one read-only identity.  What each stage drops on reduction
-    to annihilation variables, which is_passive compares, is measured for
-    all stages in one pass and stored with them.
+    stages share one read-only identity.  Each stage is judged passive at
+    the scale of sys (see split_systems).
     """
     n, m = sys.n, sys.m
     # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R, as views
     k_stack = sys.k.reshape(m, n, 2).swapaxes(0, 1)
     r_stack = pair_blocks(sys.r).diagonal().transpose(2, 0, 1)
-    eye = np.eye(m, dtype=complex)
-    eye.setflags(write=False)
-    stages = tuple(
-        SlhSystem(s=sys.s if j == 0 else eye, k=k_stack[j], r=r_stack[j])
-        for j in range(n)
-    )
-    # fill each stage's _dropped cache from one pass over the stacks: the
-    # same values the stage would compute from its own arrays
-    dropped = zip(*(x.tolist() for x in dropped_parts(k_stack, r_stack)))
-    for stage, parts in zip(stages, dropped):
-        object.__setattr__(stage, "_dropped", parts)
-    return stages
+    eye = _readonly(np.eye(m, dtype=complex))
+    return split_systems(sys, [sys.s] + [eye] * (n - 1), k_stack, r_stack)
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:

@@ -23,6 +23,7 @@ from .model import (
     PassiveForm,
     RealMatrix,
     SlhSystem,
+    _readonly,
     from_passive_form,
     max_abs,
 )
@@ -307,9 +308,9 @@ def _decode_stages(entries) -> list[SlhSystem]:
         shapes = {"S": (count, m, m, 2), "K": (count, m, 2, 2), "R": (count, 2, 2)}
         s, k, r = (_convert([entry[key] for entry in entries], shapes[key]) for key in "SKR")
         if all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
+            # locked, so that the stages share, not copy, views of them
+            s, k, r = (_readonly(a) for a in (s, k, r))
             s, k = s.view(complex)[..., 0], k.view(complex)[..., 0]
-            for a in (s, k, r):
-                a.setflags(write=False)  # so that the stages share, not copy, them
             return [SlhSystem(s=s[i], k=k[i], r=r[i]) for i in range(count)]
     return [_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries)]
 

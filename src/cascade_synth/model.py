@@ -123,10 +123,19 @@ def _readonly(a):
     return a
 
 
+def _locked(a) -> bool:
+    """True when the array a and the array that owns its memory are both
+    read-only.  NumPy points the base of a view at that owner.  It does not
+    track views, so an array locked after a writable view of it was taken
+    can still change through that view: lock only fresh arrays."""
+    owner = a if a.base is None else a.base
+    return not a.flags.writeable and isinstance(owner, np.ndarray) and not owner.flags.writeable
+
+
 def _as_matrix(value, dtype, name):
     """value as a read-only 2-d array of dtype with finite entries.  A
-    read-only array of that dtype is kept as it is, not copied."""
-    if isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable:
+    locked array of that dtype is kept as it is; any other value is copied."""
+    if isinstance(value, np.ndarray) and value.dtype == dtype and _locked(value):
         a = value
     else:
         a = _readonly(np.array(value, dtype=dtype))
@@ -163,12 +172,13 @@ class SlhSystem:
 
     Construction checks shapes and finiteness only; the unitarity and
     symmetry tolerances are enforced by :meth:`validate`, which the
-    state-space builder calls.  The arrays are read-only: a read-only array
-    of the right dtype is shared, any other input is copied.  The structural
-    quantities that need no tolerance (the validation residuals, the drift
-    and its triangularity residual, the reduction to annihilation variables
-    and what it drops) are therefore computed once per system, on first
-    use, and every check compares them against its own tolerance.
+    state-space builder calls.  The arrays are read-only: an array that is
+    read-only together with the array owning its memory (another system's
+    array, or a view of one) is shared, any other input is copied.  The
+    structural quantities that need no tolerance (the validation residuals,
+    the drift and its triangularity residual, the reduction to annihilation
+    variables and what it drops) are therefore computed once per system, on
+    first use, and every check compares them against its own tolerance.
     """
 
     s: ComplexMatrix
@@ -234,6 +244,14 @@ class SlhSystem:
         """(k_defect, r_defect, |K|_max, |R|_max) of dropped_parts."""
         return tuple(float(x[0]) for x in dropped_parts(self.k[None], self.r[None]))
 
+    @cached_property
+    def _passivity(self) -> tuple[float, float, float]:
+        """(k_defect, r_defect, sigma), what is_passive compares: the dropped
+        parts and the scale sigma = |R|_max + |K|_max^2 they are judged at.
+        split_systems sets it for the parts of a larger system."""
+        k_defect, r_defect, k_max, r_max = self._dropped
+        return k_defect, r_defect, r_max + k_max**2
+
     def validate(self, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL) -> "SlhSystem":
         """Check unitarity of S and symmetry of R, raising on failure."""
         unitarity, asymmetry = self._defects
@@ -244,6 +262,24 @@ class SlhSystem:
         if asymmetry > tol_sym:
             raise NonSymmetricR(f"R fails symmetry at tolerance {tol_sym:.1e}")
         return self
+
+
+def split_systems(sys: SlhSystem, s, k, r) -> tuple[SlhSystem, ...]:
+    """The systems (s[j], k[j], r[j]) split from sys, for sequences s of
+    scatterings and stacks k and r of views of the arrays of sys.
+
+    Each part is judged passive at the scale sigma of sys.  What a part drops
+    on reduction to annihilation variables is part of what sys drops, so
+    every part of a passive system is passive, a part that is zero up to the
+    rounding of sys included; judged at its own scale, such a part would
+    fail.  What the parts drop is measured in one pass over the stacks.
+    """
+    sigma = max_abs(sys.r) + max_abs(sys.k) ** 2
+    parts = tuple(SlhSystem(s=s[j], k=k[j], r=r[j]) for j in range(len(k)))
+    k_defect, r_defect, _, _ = dropped_parts(k, r)
+    for part, kd, rd in zip(parts, k_defect.tolist(), r_defect.tolist()):
+        object.__setattr__(part, "_passivity", (kd, rd, sigma))
+    return parts
 
 
 def identity_system(m: int) -> SlhSystem:
@@ -379,10 +415,11 @@ def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:
     reconstructed from its Hermitian reduction,
     |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max <= tol * sigma.
     sigma carries the units of the drift R + Im(K^dag K), so the verdict is
-    the same at every scale of the system; the zero system is passive.
+    the same at every scale of the system; the zero system is passive.  A
+    stage that split_systems made is judged at the sigma of the system it
+    was split from.
     """
-    k_defect, r_defect, k_max, r_max = sys._dropped
-    sigma = r_max + k_max**2
+    k_defect, r_defect, sigma = sys._passivity
     return k_defect <= tol * math.sqrt(sigma) and r_defect <= tol * sigma
 
 

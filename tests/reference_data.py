@@ -185,13 +185,15 @@ def triangularity_oracle(sys, tol):
     return worst <= tol * scale, worst, scale
 
 
-def passivity_oracle(sys, tol):
+def passivity_oracle(sys, tol, scale_of=None):
     """The passivity verdict from the loop-built Sigma: the dropped parts
     |K Sigma^T|_max and |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max
-    against tol * sqrt(sigma) and tol * sigma, sigma = |R|_max + |K|_max^2."""
+    against tol * sqrt(sigma) and tol * sigma, sigma = |R|_max + |K|_max^2
+    of the system scale_of (sys itself by default)."""
     sg = annihilation_map(sys.n)
     k_defect = np.abs(sys.k @ sg.T).max(initial=0.0)
     r_tilde = 8 * sg @ sys.r @ sg.conj().T
     r_defect = np.abs(sys.r - (sg.conj().T @ r_tilde @ sg).real).max(initial=0.0)
-    sigma = np.abs(sys.r).max(initial=0.0) + np.abs(sys.k).max(initial=0.0) ** 2
+    scale_of = sys if scale_of is None else scale_of
+    sigma = np.abs(scale_of.r).max(initial=0.0) + np.abs(scale_of.k).max(initial=0.0) ** 2
     return bool(k_defect <= tol * np.sqrt(sigma) and r_defect <= tol * sigma)

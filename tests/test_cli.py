@@ -22,7 +22,7 @@ from cascade_synth import (
 from cascade_synth import cli
 from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_system
-from test_model import bumped_passive
+from test_model import bumped_passive, zero_mode_system
 
 import reference_data as ref
 
@@ -174,6 +174,12 @@ class TestPassiveRealize:
         path = write_doc(tmp_path, "bumped.json", SystemDocument.from_system(bumped))
         code, payload = run_cli(capsys, "passive-realize", path)
         assert code == 3 and payload["kind"] == "precondition"
+
+    def test_zero_frequency_mode_realizes(self, capsys, tmp_path):
+        # the stage of the decoupled mode is zero up to the system's rounding
+        path = write_doc(tmp_path, "zero.json", SystemDocument.from_system(zero_mode_system(0)))
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 0 and payload["reports"]["stages_passive"] is True
 
     def test_drift_of_realized_system_built_once(
         self, capsys, monkeypatch, drift_calls, reference_doc

@@ -383,6 +383,8 @@ class TestRealizationStages:
             assert_bits_equal(stage.s, ref.decode_complex_matrix(entry["S"], 2, 2))
             assert_bits_equal(stage.k, ref.decode_complex_matrix(entry["K"], 2, 2))
             assert_bits_equal(stage.r, ref.decode_real_matrix(entry["R"], 2, 2))
+            # views of one decoded array, not copies
+            assert stage.k.base is not None and stage.k.base is doc.stages[0].k.base
             with pytest.raises(ValueError):
                 stage.r[0, 0] = 1.0
 

@@ -22,6 +22,7 @@ from cascade_synth import (
     is_passive,
     max_abs,
     one_mode_stages,
+    passive_realize,
     to_passive_form,
 )
 from cascade_synth.model import realify, theta_times
@@ -285,6 +286,16 @@ class TestPassivityScale:
         assert not is_passive(SlhSystem(s=np.eye(1), k=k * 1e-3, r=r), 1e-7)
 
 
+def zero_mode_system(seed):
+    """A passive 3-mode, 1-field system whose mode matrix has the decoupled
+    eigenvalue 0: R_tilde = W diag(1, 2, 0) W^dag, K_tilde = [1, 0.5, 0] W^dag."""
+    w = random_unitary(3, seed)
+    r_tilde = w @ np.diag([1.0, 2.0, 0.0]) @ w.conj().T
+    k_tilde = np.array([[1.0, 0.5, 0.0]]) @ w.conj().T
+    pf = PassiveForm(r_tilde=(r_tilde + r_tilde.conj().T) / 2, k_tilde=k_tilde)
+    return from_passive_form(pf, np.eye(1))
+
+
 def count_computations(monkeypatch, name):
     """Replace the cached property name of SlhSystem by one that records
     each system it computes for."""
@@ -316,6 +327,19 @@ class TestComputeOnce:
         assert np.array_equal(sys.r, before)
         again = SlhSystem(s=sys.s, k=sys.k, r=sys.r)
         assert again.s is sys.s and again.k is sys.k and again.r is sys.r
+        stage = one_mode_stages(sys)[1]
+        assert SlhSystem(s=stage.s, k=stage.k, r=stage.r).r is stage.r
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        base = np.array(random_system(2, 1, 4).r)
+        view = base.view()
+        view.flags.writeable = False
+        sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 4)), r=view)
+        assert sys.r is not view
+        assert sys.validate() is sys
+        base[0, 1] += 1.0  # R would no longer be symmetric
+        assert not np.array_equal(view, sys.r)
+        assert sys.validate() is sys and sys._defects == (0.0, 0.0)
 
     def test_passivity_reduction_computed_once(self, monkeypatch):
         computed = count_computations(monkeypatch, "_dropped")
@@ -336,9 +360,26 @@ class TestComputeOnce:
             assert computed == []
             for stage, verdict in zip(stages, verdicts):
                 fresh = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
-                assert stage._dropped == fresh._dropped
-                assert verdict is ref.passivity_oracle(fresh, 1e-9)
+                assert stage._passivity == fresh._passivity[:2] + system._passivity[2:]
+                assert verdict is ref.passivity_oracle(fresh, 1e-9, scale_of=system)
             computed.clear()
+
+    def test_stage_of_a_zero_frequency_mode_is_passive(self):
+        # a decoupled mode of zero frequency: its stage is zero up to the
+        # rounding of the whole system, so it is judged at the system's scale
+        alone_not_passive = 0
+        for seed in range(20):
+            sys = zero_mode_system(seed)
+            assert is_passive(sys)
+            stages = passive_realize(sys).chain.stages
+            assert all(is_passive(stage) for stage in stages)
+            tiny = min(stages, key=lambda stage: max_abs(stage.k))
+            assert max_abs(tiny.k) < 1e-12
+            # alone, the stage is judged at its own scale, where the
+            # rounding is all of it
+            fresh = SlhSystem(s=np.array(tiny.s), k=np.array(tiny.k), r=np.array(tiny.r))
+            alone_not_passive += not is_passive(fresh)
+        assert alone_not_passive > 10
 
     def test_validation_residuals_computed_once(self, monkeypatch):
         computed = count_computations(monkeypatch, "_defects")

@@ -19,7 +19,7 @@ from .model import (
     DEFAULT_TOL,
     RealMatrix,
     SlhSystem,
-    _readonly,
+    _as_real,
     block_diag,
     pair_blocks,
     split_systems,
@@ -75,8 +75,7 @@ class CascadeChain:
             )
         object.__setattr__(self, "stages", stages)
         if self.residual_r is not None:
-            rd = np.array(self.residual_r, dtype=float)
-            rd.setflags(write=False)
+            rd = _as_real(self.residual_r, "residual_R")
             nn = 2 * len(stages)
             if rd.shape != (nn, nn):
                 raise BadResidual(f"residual must be {nn} x {nn}, got {rd.shape}")
@@ -186,15 +185,13 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     diagonal 2x2 block of R.  Cascading the stages reproduces (S, K, R)
     exactly once the residual interaction is added back, and with no
     residual at all when the drift matrix is lower 2x2-block triangular.
-    The stages share memory with the read-only arrays of sys, and the later
-    stages share one read-only identity.  Each stage is judged passive at
-    the scale of sys (see split_systems).
+    Each stage is judged passive at the scale of sys (see split_systems).
     """
     n, m = sys.n, sys.m
     # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R, as views
     k_stack = sys.k.reshape(m, n, 2).swapaxes(0, 1)
     r_stack = pair_blocks(sys.r).diagonal().transpose(2, 0, 1)
-    eye = _readonly(np.eye(m, dtype=complex))
+    eye = np.eye(m, dtype=complex)
     return split_systems(sys, [sys.s] + [eye] * (n - 1), k_stack, r_stack)
 
 

@@ -23,7 +23,8 @@ from .model import (
     PassiveForm,
     RealMatrix,
     SlhSystem,
-    _readonly,
+    _as_complex,
+    _as_real,
     from_passive_form,
     max_abs,
 )
@@ -190,14 +191,11 @@ class SystemDocument:
         for name in absent:
             if getattr(self, name) is not None:
                 raise ValueError(f"{self.form} form must not carry {name}")
-        s = np.array(self.s, dtype=complex)
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _as_complex(self.s, "S"))
         for name in present:
-            dtype = float if name == "r" else complex
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            as_matrix = _as_real if name == "r" else _as_complex
+            label = name[0].upper() + name[1:]
+            object.__setattr__(self, name, as_matrix(getattr(self, name), label))
         # delegate shape validation to the domain type
         self.to_system()
 
@@ -221,11 +219,7 @@ class SystemDocument:
         """Materialize the quadrature system this document describes."""
         if self.form == "general":
             return SlhSystem(s=self.s, k=self.k, r=self.r)
-        pf = PassiveForm(
-            r_tilde=self.r_tilde,
-            k_tilde=self.k_tilde,
-            offset=float(np.trace(self.r_tilde).real) / 4,
-        )
+        pf = PassiveForm(r_tilde=self.r_tilde, k_tilde=self.k_tilde)
         return from_passive_form(pf, self.s, tol_sym=HERMITICITY_TOL)
 
     def to_dict(self) -> dict:
@@ -308,8 +302,6 @@ def _decode_stages(entries) -> list[SlhSystem]:
         shapes = {"S": (count, m, m, 2), "K": (count, m, 2, 2), "R": (count, 2, 2)}
         s, k, r = (_convert([entry[key] for entry in entries], shapes[key]) for key in "SKR")
         if all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
-            # locked, so that the stages share, not copy, views of them
-            s, k, r = (_readonly(a) for a in (s, k, r))
             s, k = s.view(complex)[..., 0], k.view(complex)[..., 0]
             return [SlhSystem(s=s[i], k=k[i], r=r[i]) for i in range(count)]
     return [_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries)]
@@ -336,11 +328,13 @@ class RealizationDocument:
         object.__setattr__(self, "stages", tuple(self.stages))
         if not isinstance(self.input_digest, str):
             raise ValueError("input_digest must be a string")
-        for name in ("v", "residual_r"):
+        nn = 2 * len(self.stages)
+        for name, label in (("v", "V"), ("residual_r", "residual_R")):
             value = getattr(self, name)
             if value is not None:
-                a = np.array(value, dtype=float)
-                a.setflags(write=False)
+                a = _as_real(value, label)
+                if a.shape != (nn, nn):
+                    raise ValueError(f"{label} must be {nn} x {nn}, got {a.shape}")
                 object.__setattr__(self, name, a)
         object.__setattr__(self, "reports", dict(self.reports))
 

@@ -123,22 +123,10 @@ def _readonly(a):
     return a
 
 
-def _locked(a) -> bool:
-    """True when the array a and the array that owns its memory are both
-    read-only.  NumPy points the base of a view at that owner.  It does not
-    track views, so an array locked after a writable view of it was taken
-    can still change through that view: lock only fresh arrays."""
-    owner = a if a.base is None else a.base
-    return not a.flags.writeable and isinstance(owner, np.ndarray) and not owner.flags.writeable
-
-
 def _as_matrix(value, dtype, name):
-    """value as a read-only 2-d array of dtype with finite entries.  A
-    locked array of that dtype is kept as it is; any other value is copied."""
-    if isinstance(value, np.ndarray) and value.dtype == dtype and _locked(value):
-        a = value
-    else:
-        a = _readonly(np.array(value, dtype=dtype))
+    """A read-only copy of value as a 2-d array of dtype with finite
+    entries.  The copy is made once, here, so no one else can write to it."""
+    a = _readonly(np.array(value, dtype=dtype))
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -172,13 +160,12 @@ class SlhSystem:
 
     Construction checks shapes and finiteness only; the unitarity and
     symmetry tolerances are enforced by :meth:`validate`, which the
-    state-space builder calls.  The arrays are read-only: an array that is
-    read-only together with the array owning its memory (another system's
-    array, or a view of one) is shared, any other input is copied.  The
-    structural quantities that need no tolerance (the validation residuals,
-    the drift and its triangularity residual, the reduction to annihilation
-    variables and what it drops) are therefore computed once per system, on
-    first use, and every check compares them against its own tolerance.
+    state-space builder calls.  Each array is copied once on construction
+    and locked, so the structural quantities that need no tolerance (the
+    validation residuals, the drift and its triangularity residual, the
+    reduction to annihilation variables and what it drops) are computed once
+    per system, on first use, and every check compares them against its own
+    tolerance.
     """
 
     s: ComplexMatrix
@@ -341,15 +328,11 @@ class PassiveForm:
     """Annihilation-variable parametrization of a passive system.
 
     r_tilde is the Hermitian n x n Hamiltonian matrix and k_tilde the complex
-    m x n coupling, H = (1/2) a^dag r_tilde a + offset and L = k_tilde a.  The
-    real scalar offset equals trace(r_tilde)/4 when derived from a quadrature
-    Hamiltonian, making the two Hamiltonians equal rather than merely
-    equivalent.
+    m x n coupling, H = (1/2) a^dag r_tilde a + offset and L = k_tilde a.
     """
 
     r_tilde: ComplexMatrix
     k_tilde: ComplexMatrix
-    offset: float = 0.0
 
     def __post_init__(self):
         r_tilde = _as_complex(self.r_tilde, "R_tilde")
@@ -363,7 +346,12 @@ class PassiveForm:
             )
         object.__setattr__(self, "r_tilde", r_tilde)
         object.__setattr__(self, "k_tilde", k_tilde)
-        object.__setattr__(self, "offset", float(self.offset))
+
+    @property
+    def offset(self) -> float:
+        """The real scalar trace(r_tilde)/4 that makes H equal, not merely
+        equivalent, to the quadrature Hamiltonian (1/2) x^T R x."""
+        return float(self.r_tilde.trace().real) / 4
 
     @property
     def n(self) -> int:
@@ -427,16 +415,13 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
     """Reduce a passive system to annihilation variables.
 
     k_tilde = 2 K Sigma^dag and r_tilde = 8 Sigma R Sigma^dag invert the
-    quadrature expansion K = k_tilde Sigma, R = Re(Sigma^dag r_tilde Sigma);
-    offset = trace(r_tilde)/4 keeps the Hamiltonian scalar part.  Raises
-    NotPassive when is_passive(sys, tol) is false.
+    quadrature expansion K = k_tilde Sigma, R = Re(Sigma^dag r_tilde Sigma).
+    Raises NotPassive when is_passive(sys, tol) is false.
     """
     if not is_passive(sys, tol):
         raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
     k_tilde, r_tilde = sys._reduction
-    return PassiveForm(
-        r_tilde=r_tilde, k_tilde=k_tilde, offset=float(r_tilde.trace().real) / 4.0
-    )
+    return PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde)
 
 
 def from_passive_form(pf: PassiveForm, s: ComplexMatrix, tol_sym=DEFAULT_TOL) -> SlhSystem:

@@ -59,11 +59,7 @@ def random_passive_form(n: int, m: int, rng=None, degenerate=False) -> PassiveFo
     else:
         h = _complex_gaussian(rng, (n, n))
     r_tilde = (h + h.conj().T) / 2
-    return PassiveForm(
-        r_tilde=r_tilde,
-        k_tilde=_complex_gaussian(rng, (m, n)),
-        offset=float(np.trace(r_tilde).real) / 4,
-    )
+    return PassiveForm(r_tilde=r_tilde, k_tilde=_complex_gaussian(rng, (m, n)))
 
 
 def random_passive_system(n: int, m: int, rng=None, degenerate=False) -> SlhSystem:

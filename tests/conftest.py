@@ -13,7 +13,7 @@ import reference_data as ref
 
 @pytest.fixture
 def reference_passive_form():
-    return PassiveForm(r_tilde=ref.R_TILDE, k_tilde=ref.K_TILDE, offset=ref.OFFSET)
+    return PassiveForm(r_tilde=ref.R_TILDE, k_tilde=ref.K_TILDE)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from cascade_synth import (
     BadResidual,
+    CascadeChain,
     FieldCountMismatch,
     ParseError,
     RealizationDocument,
@@ -348,6 +349,62 @@ class TestRealizationDocument:
         assert self.parse(lambda d: d.update(zz=1)).path == "$"
 
 
+def _one_stage_document(v=None, residual_r=None):
+    return RealizationDocument(
+        input_digest="x", stages=(random_system(1, 2, 0),), v=v, residual_r=residual_r
+    )
+
+
+def _two_stage_chain(residual_r):
+    stage = random_system(1, 2, 0)
+    return CascadeChain(stages=(stage, stage), residual_r=residual_r)
+
+
+_COUPLING = np.zeros((4, 4))
+_COUPLING[0, 2] = _COUPLING[2, 0] = 1.0
+
+# An array given to a document or a chain, and the ValueError that rejects it.
+UNCHECKED_ARRAYS = [
+    pytest.param(
+        lambda: _one_stage_document(v=np.eye(2) * (1 + 1j)), "V must be real", id="V-complex"
+    ),
+    pytest.param(
+        lambda: _one_stage_document(v=np.full((2, 2), np.nan)), "V contains non-finite",
+        id="V-nan",
+    ),
+    pytest.param(lambda: _one_stage_document(v=np.ones(4)), "V must be a 2-d", id="V-1d"),
+    pytest.param(lambda: _one_stage_document(v=np.eye(4)), "V must be 2 x 2", id="V-4x4"),
+    pytest.param(
+        lambda: _one_stage_document(residual_r=1j * np.eye(2)), "residual_R must be real",
+        id="residual-complex",
+    ),
+    pytest.param(
+        lambda: _one_stage_document(residual_r=np.full((2, 2), np.inf)),
+        "residual_R contains non-finite", id="residual-inf",
+    ),
+    pytest.param(
+        lambda: _one_stage_document(residual_r=np.zeros((4, 4))), "residual_R must be 2 x 2",
+        id="residual-4x4",
+    ),
+    pytest.param(
+        lambda: SystemDocument(
+            form="general", s=np.eye(1), k=np.zeros((1, 2)), r=np.eye(2) * (1 + 1j)
+        ),
+        "R must be real", id="system-R-complex",
+    ),
+    pytest.param(
+        lambda: _two_stage_chain(_COUPLING * (1 + 1j)), "residual_R must be real",
+        id="chain-residual-complex",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", UNCHECKED_ARRAYS)
+def test_rejects_unchecked_array(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestRealizationStages:
     """Stages are decoded for all stages at once; a fault is still named at
     its stage."""
@@ -383,8 +440,6 @@ class TestRealizationStages:
             assert_bits_equal(stage.s, ref.decode_complex_matrix(entry["S"], 2, 2))
             assert_bits_equal(stage.k, ref.decode_complex_matrix(entry["K"], 2, 2))
             assert_bits_equal(stage.r, ref.decode_real_matrix(entry["R"], 2, 2))
-            # views of one decoded array, not copies
-            assert stage.k.base is not None and stage.k.base is doc.stages[0].k.base
             with pytest.raises(ValueError):
                 stage.r[0, 0] = 1.0
 

@@ -319,16 +319,33 @@ class TestComputeOnce:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
-    def test_writeable_input_is_copied_and_read_only_input_shared(self):
+    def test_every_input_is_copied(self):
         r = np.array(random_system(2, 1, 4).r)
         before = r.copy()
         sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 4)), r=r)
         r[0, 0] += 1.0
         assert np.array_equal(sys.r, before)
         again = SlhSystem(s=sys.s, k=sys.k, r=sys.r)
-        assert again.s is sys.s and again.k is sys.k and again.r is sys.r
-        stage = one_mode_stages(sys)[1]
-        assert SlhSystem(s=stage.s, k=stage.k, r=stage.r).r is stage.r
+        for a, b in ((again.s, sys.s), (again.k, sys.k), (again.r, sys.r)):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        stages = one_mode_stages(sys)
+        for stage in stages:
+            for a, b in ((stage.s, sys.s), (stage.k, sys.k), (stage.r, sys.r)):
+                assert not np.shares_memory(a, b)
+        copy = SlhSystem(s=stages[1].s, k=stages[1].k, r=stages[1].r)
+        assert not np.shares_memory(copy.r, stages[1].r)
+
+    def test_array_locked_after_a_writable_view_is_copied(self):
+        base = np.array(random_system(2, 1, 4).r)
+        early = base[:]
+        base.flags.writeable = False
+        sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 4)), r=base)
+        assert sys.validate() is sys
+        before = np.array(sys.r)
+        early[0, 1] += 1.0  # R would no longer be symmetric
+        assert np.array_equal(sys.r, before)
+        assert sys._defects == (0.0, 0.0)
+        assert SlhSystem(s=sys.s, k=sys.k, r=sys.r)._defects == sys._defects
 
     def test_read_only_view_of_writable_memory_is_copied(self):
         base = np.array(random_system(2, 1, 4).r)

@@ -11,7 +11,6 @@ CLI make the pipeline scriptable.
 from .composition import (
     CascadeChain,
     cascade,
-    concatenation,
     one_mode_stages,
     residual_interaction,
     series,
@@ -48,7 +47,6 @@ from .model import (
     build_state_space,
     drift_matrix,
     from_passive_form,
-    identity_system,
     is_passive,
     max_abs,
     to_passive_form,
@@ -111,12 +109,10 @@ __all__ = [
     "ccr_preservation",
     "certify_equivalence",
     "certify_symplectic",
-    "concatenation",
     "decompose_cascade",
     "document_digest",
     "drift_matrix",
     "from_passive_form",
-    "identity_system",
     "is_cascade_realizable",
     "is_passive",
     "max_abs",

@@ -1,10 +1,9 @@
 """Composition of linear quantum stochastic systems.
 
-Implements the concatenation product (side-by-side, independent fields), the
-series product (output fields of one system feeding the inputs of the next),
-the collapse of a chain of one-mode stages into a single system, and the
-residual direct-interaction Hamiltonian that measures how far a system is
-from being a pure cascade of its own one-mode stages.
+Implements the series product (output fields of one system feeding the
+inputs of the next), the collapse of a chain of one-mode stages into a
+single system, and the residual direct-interaction Hamiltonian that measures
+how far a system is from being a pure cascade of its own one-mode stages.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from .model import (
     RealMatrix,
     SlhSystem,
     _as_real,
-    block_diag,
     pair_blocks,
     split_systems,
+    stack_max,
     validation_defects,
 )
 
@@ -35,8 +34,9 @@ class CascadeChain:
     residual_r, when present, is a real symmetric 2n x 2n matrix with zero
     2x2 diagonal blocks that couples distinct stages directly (a bilinear
     interaction on top of the field-mediated cascade).  Every stage must
-    pass SlhSystem.validate, checked over the stacked stage matrices in one
-    pass; cascade relies on unitary stage scatterings.
+    pass SlhSystem.validate, each R symmetric relative to its own |R|_max,
+    checked over the stacked stage matrices in one pass; cascade relies on
+    unitary stage scatterings.
     """
 
     stages: tuple[SlhSystem, ...]
@@ -53,18 +53,19 @@ class CascadeChain:
             len(stages),
         )
         if shaped:
+            r = np.array([st.r for st in stages[:shaped]])
             unitarity, asymmetry = validation_defects(
-                np.array([st.s for st in stages[:shaped]]),
-                np.array([st.r for st in stages[:shaped]]),
+                np.array([st.s for st in stages[:shaped]]), r
             )
-            bad = np.flatnonzero(np.maximum(unitarity, asymmetry) > DEFAULT_TOL)
+            asymmetric = asymmetry > DEFAULT_TOL * stack_max(r)
+            bad = np.flatnonzero((unitarity > DEFAULT_TOL) | asymmetric)
             if bad.size and unitarity[bad[0]] > DEFAULT_TOL:
                 raise NonUnitaryScattering(
                     f"stage {bad[0]}: S fails unitarity at tolerance {DEFAULT_TOL:.1e}"
                 )
             if bad.size:
                 raise NonSymmetricR(
-                    f"stage {bad[0]}: R fails symmetry at tolerance {DEFAULT_TOL:.1e}"
+                    f"stage {bad[0]}: R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}"
                 )
         if shaped < len(stages):
             stage = stages[shaped]
@@ -94,16 +95,6 @@ class CascadeChain:
     @property
     def m(self) -> int:
         return self.stages[0].m
-
-
-def concatenation(g1: SlhSystem, g2: SlhSystem) -> SlhSystem:
-    """Side-by-side composition: block-diagonal S, K, R with no interaction.
-
-    The result acts on x = (x_g1, x_g2) and m = m1 + m2 independent fields.
-    """
-    return SlhSystem(
-        s=block_diag(g1.s, g2.s), k=block_diag(g1.k, g2.k), r=block_diag(g1.r, g2.r)
-    )
 
 
 def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:

@@ -26,7 +26,7 @@ from .model import (
     _as_complex,
     _as_real,
     from_passive_form,
-    max_abs,
+    is_hermitian,
 )
 
 SCHEMA_VERSION = "1"
@@ -177,6 +177,7 @@ class SystemDocument:
     k_tilde: Optional[ComplexMatrix] = None
     r_tilde: Optional[ComplexMatrix] = None
     schema_version: str = SCHEMA_VERSION
+    _system: SlhSystem = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.form == "general":
@@ -196,8 +197,14 @@ class SystemDocument:
             as_matrix = _as_real if name == "r" else _as_complex
             label = name[0].upper() + name[1:]
             object.__setattr__(self, name, as_matrix(getattr(self, name), label))
-        # delegate shape validation to the domain type
-        self.to_system()
+        # the domain type validates the shapes; SlhSystem is immutable, so
+        # the one built here is the one to_system returns
+        if self.form == "general":
+            system = SlhSystem(s=self.s, k=self.k, r=self.r)
+        else:
+            pf = PassiveForm(r_tilde=self.r_tilde, k_tilde=self.k_tilde)
+            system = from_passive_form(pf, self.s, tol_sym=HERMITICITY_TOL)
+        object.__setattr__(self, "_system", system)
 
     @property
     def n(self) -> int:
@@ -216,11 +223,9 @@ class SystemDocument:
         return cls(form="passive", s=s, k_tilde=pf.k_tilde, r_tilde=pf.r_tilde)
 
     def to_system(self) -> SlhSystem:
-        """Materialize the quadrature system this document describes."""
-        if self.form == "general":
-            return SlhSystem(s=self.s, k=self.k, r=self.r)
-        pf = PassiveForm(r_tilde=self.r_tilde, k_tilde=self.k_tilde)
-        return from_passive_form(pf, self.s, tol_sym=HERMITICITY_TOL)
+        """The quadrature system this document describes, built once on
+        construction."""
+        return self._system
 
     def to_dict(self) -> dict:
         data = {
@@ -253,8 +258,8 @@ class SystemDocument:
             )
         r_tilde = _decode(data["R_tilde"], n, n, "$.R_tilde", True)
         _require(
-            max_abs(r_tilde - r_tilde.conj().T) <= HERMITICITY_TOL,
-            f"R_tilde must be Hermitian within {HERMITICITY_TOL:.1e}",
+            is_hermitian(r_tilde, HERMITICITY_TOL),
+            f"R_tilde must be Hermitian within {HERMITICITY_TOL:.1e} of |R_tilde|_max",
             "$.R_tilde",
         )
         return cls(

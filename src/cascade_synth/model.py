@@ -74,6 +74,13 @@ def dropped_parts(k, r):
     )
 
 
+def is_hermitian(a, tol) -> bool:
+    """True when |a - a^dag|_max <= tol * |a|_max: a bound relative to the
+    matrix with no unit floor, so rounding passes at every scale and the
+    zero matrix is Hermitian."""
+    return max_abs(a - a.conj().T) <= tol * max_abs(a)
+
+
 def block_diag(a, b):
     """The block-diagonal matrix diag(a, b) of two 2-d arrays."""
     out = np.zeros(np.add(a.shape, b.shape), dtype=np.result_type(a, b))
@@ -240,14 +247,18 @@ class SlhSystem:
         return k_defect, r_defect, r_max + k_max**2
 
     def validate(self, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL) -> "SlhSystem":
-        """Check unitarity of S and symmetry of R, raising on failure."""
+        """Check unitarity of S, |S^dag S - I|_max <= tol_unitary, and symmetry
+        of R, |R - R^T|_max <= tol_sym * |R|_max, raising on failure.  The
+        symmetry bound has no unit floor, so rounding passes at every scale
+        of R and the zero matrix is symmetric."""
         unitarity, asymmetry = self._defects
         if unitarity > tol_unitary:
             raise NonUnitaryScattering(
                 f"S fails unitarity at tolerance {tol_unitary:.1e}"
             )
-        if asymmetry > tol_sym:
-            raise NonSymmetricR(f"R fails symmetry at tolerance {tol_sym:.1e}")
+        r_max = self._dropped[3]
+        if asymmetry > tol_sym * r_max:
+            raise NonSymmetricR(f"R fails symmetry at relative tolerance {tol_sym:.1e}")
         return self
 
 
@@ -267,16 +278,6 @@ def split_systems(sys: SlhSystem, s, k, r) -> tuple[SlhSystem, ...]:
     for part, kd, rd in zip(parts, k_defect.tolist(), r_defect.tolist()):
         object.__setattr__(part, "_passivity", (kd, rd, sigma))
     return parts
-
-
-def identity_system(m: int) -> SlhSystem:
-    """The zero-mode system (I_m, nothing, 0): identity of the series product
-    and of concatenation with m = 0."""
-    return SlhSystem(
-        s=np.eye(m, dtype=complex),
-        k=np.zeros((m, 0), dtype=complex),
-        r=np.zeros((0, 0)),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,10 +363,12 @@ class PassiveForm:
         return self.k_tilde.shape[0]
 
     def validate(self, tol_sym=DEFAULT_TOL) -> "PassiveForm":
-        """Check Hermiticity of r_tilde, raising on failure."""
-        if max_abs(self.r_tilde - self.r_tilde.conj().T) > tol_sym:
+        """Check Hermiticity of r_tilde relative to its scale,
+        |r_tilde - r_tilde^dag|_max <= tol_sym * |r_tilde|_max, raising on
+        failure."""
+        if not is_hermitian(self.r_tilde, tol_sym):
             raise NonHermitianRtilde(
-                f"R_tilde fails Hermiticity at tolerance {tol_sym:.1e}"
+                f"R_tilde fails Hermiticity at relative tolerance {tol_sym:.1e}"
             )
         return self
 

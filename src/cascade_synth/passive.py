@@ -10,7 +10,11 @@ one-mode passive stages.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -76,14 +80,43 @@ def mode_matrix(pf: PassiveForm) -> ComplexMatrix:
     return -0.25j * (pf.r_tilde - 1j * pf.k_tilde.conj().T @ pf.k_tilde)
 
 
+@functools.cache
+def _zgees():
+    """LAPACK zgees from scipy's compiled _flapack extension, loaded by file
+    once per process.  Importing the scipy.linalg package around it would
+    cost several times the whole of a small realization."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy, which supplies LAPACK, is not installed")
+    linalg = Path(spec.submodule_search_locations[0]) / "linalg"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((p for s in suffixes if (p := linalg / f"_flapack{s}").is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg}")
+    # the name scipy itself gives the module, so both share one instance
+    loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", str(path))
+    spec = importlib.util.spec_from_loader(loader.name, loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module.zgees
+
+
+def _no_sort(_):
+    return None
+
+
 def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
     """Factor M = U^dag M_hat U with M_hat lower triangular and U unitary,
     and return the pair (U, M_hat); the eigenvalues of M sit on diag(M_hat).
 
     Obtained from the standard upper-triangular complex Schur decomposition
-    by conjugating with the antidiagonal permutation P: if M = Z T Z^dag with
-    T upper triangular, then U = P Z^dag and M_hat = P T P, taken by
-    reversing the order of rows and columns.
+    M = Z T Z^dag by conjugating with the antidiagonal permutation P:
+    U = P Z^dag and M_hat = P T P, taken by reversing the order of rows and
+    columns.  T and Z come from LAPACK zgees, called directly as
+    scipy.linalg.schur(M, output="complex") calls it (a workspace query,
+    then the factorization, no eigenvalue sorting), so the pair is the same
+    bit for bit; no command imports the scipy.linalg package.  M is never
+    overwritten.  Raises ConvergenceFailure when the QR iteration fails.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -92,13 +125,16 @@ def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
         raise ValueError("M contains non-finite entries")
     if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
-    import scipy.linalg  # only Schur needs scipy; the other CLI paths skip its import
-
-    try:
-        # finiteness is checked above
-        t, z = scipy.linalg.schur(m, output="complex", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Schur iteration failed to converge: {exc}") from exc
+    zgees = _zgees()
+    *_, work, info = zgees(_no_sort, m, compute_v=1, sort_t=0, lwork=-1, overwrite_a=0)
+    if info == 0:
+        t, _, _, z, _, info = zgees(
+            _no_sort, m, compute_v=1, sort_t=0, lwork=int(work[0].real), overwrite_a=0
+        )
+    if info < 0:
+        raise ValueError(f"zgees rejected its argument {-info}")
+    if info > 0:
+        raise ConvergenceFailure(f"Schur iteration failed to converge (zgees info={info})")
     # + 0.0 turns every zero into +0.0: conjugation leaves -0.0 in zero
     # imaginary parts, which V = realify(U) and the documents would carry
     return z.conj().T[::-1] + 0.0, t[::-1, ::-1] + 0.0

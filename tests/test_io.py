@@ -1,6 +1,7 @@
 """JSON document encoding, decoding, digests, and schema validation."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cascade_synth import (
     canonical_json,
     cascade,
     document_digest,
+    from_passive_form,
     max_abs,
 )
 from cascade_synth.sampling import (
@@ -268,6 +270,28 @@ class TestSystemDocument:
         with pytest.raises(ParseError) as exc:
             SystemDocument.from_dict(data)
         assert exc.value.path == "$.R_tilde"
+
+    def test_passive_document_builds_its_system_once(self, monkeypatch):
+        calls = []
+
+        def recording(pf, s, tol_sym):
+            calls.append(pf)
+            return from_passive_form(pf, s, tol_sym)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cascade_synth") and getattr(
+                module, "from_passive_form", None
+            ) is from_passive_form:
+                monkeypatch.setattr(module, "from_passive_form", recording)
+        doc = SystemDocument.from_passive(
+            random_passive_form(3, 2, 5), s=np.eye(2, dtype=complex)
+        )
+        text = doc.dumps()
+        calls.clear()
+        loaded = SystemDocument.loads(text)
+        system = loaded.to_system()
+        assert len(calls) == 1 and loaded.to_system() is system
+        assert system.validate() is system
 
     def test_rejects_invalid_json_and_non_objects(self):
         with pytest.raises(ParseError):

@@ -17,7 +17,6 @@ from cascade_synth import (
     build_state_space,
     drift_matrix,
     from_passive_form,
-    identity_system,
     is_cascade_realizable,
     is_passive,
     max_abs,
@@ -168,7 +167,7 @@ class TestSlhSystem:
             bad_r.validate()
 
     def test_identity_system_is_empty(self):
-        g = identity_system(3)
+        g = ref.identity_system(3)
         assert g.n == 0 and g.m == 3
         assert np.array_equal(g.s, np.eye(3))
 
@@ -284,6 +283,51 @@ class TestPassivityScale:
         k = np.array([[1e3, 1e3j]])  # passive, |K|_max^2 = 1e6
         assert is_passive(SlhSystem(s=np.eye(1), k=k, r=r), 1e-12)
         assert not is_passive(SlhSystem(s=np.eye(1), k=k * 1e-3, r=r), 1e-7)
+
+
+SCALES = [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+
+def rounded_hermitian(c):
+    """R_tilde = W diag(c [1, 2, -1, 0.5]) W^dag for W = random_unitary(4, 3):
+    Hermitian up to rounding, with an asymmetry of about 1e-16 |R_tilde|_max
+    (1.1e-8 at c = 1e8), and K_tilde = sqrt(c) [1, 0.5, 0.25, 0] W^dag."""
+    w = random_unitary(4, 3)
+    r_tilde = w @ np.diag(c * np.array([1.0, 2.0, -1.0, 0.5])) @ w.conj().T
+    k_tilde = np.sqrt(c) * np.array([[1.0, 0.5, 0.25, 0.0]]) @ w.conj().T
+    return r_tilde, k_tilde
+
+
+class TestSymmetryScale:
+    """Hermiticity of R_tilde and symmetry of R are judged relative to the
+    matrix, with no unit floor: rounding passes at every scale, a
+    non-Hermitian part of 10% of the matrix fails at every scale."""
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_hermiticity(self, c):
+        r_tilde, k_tilde = rounded_hermitian(c)
+        sys = from_passive_form(PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde), np.eye(1))
+        assert sys.validate() is sys and is_passive(sys)
+        bent = np.array(r_tilde)
+        bent[0, 1] += 0.1 * max_abs(r_tilde)
+        with pytest.raises(NonHermitianRtilde):
+            PassiveForm(r_tilde=bent, k_tilde=k_tilde).validate()
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_symmetry(self, c):
+        r = c * np.array([[1.0, 0.3], [0.3 * (1 + 1e-15), 2.0]])
+        k = np.sqrt(c) * np.array([[1.0, 1.0j]])
+        sys = SlhSystem(s=np.eye(1), k=k, r=r)
+        assert sys.validate() is sys
+        bent = SlhSystem(s=np.eye(1), k=k, r=r + np.array([[0.0, 0.2 * c], [0.0, 0.0]]))
+        with pytest.raises(NonSymmetricR):
+            bent.validate()
+
+    def test_zero_matrices_pass(self):
+        zero = SlhSystem(s=np.eye(1), k=np.zeros((1, 2)), r=np.zeros((2, 2)))
+        assert zero.validate() is zero
+        pf = PassiveForm(r_tilde=np.zeros((2, 2)), k_tilde=np.zeros((1, 2)))
+        assert pf.validate() is pf
 
 
 def zero_mode_system(seed):

@@ -1,5 +1,7 @@
 """Mode-space reduction, lower-triangular Schur step, symplectic synthesis."""
 
+import importlib.machinery
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from cascade_synth import (
+    ConvergenceFailure,
     NonUnitaryInput,
     NotPassive,
     PassiveForm,
@@ -32,6 +35,7 @@ from cascade_synth.sampling import (
     random_system,
     random_unitary,
 )
+from cascade_synth import passive
 from cascade_synth.verification import certify_equivalence
 
 import reference_data as ref
@@ -115,6 +119,19 @@ class TestModeMatrix:
         assert multiset_distance(ea, doubled) <= 1e-8
 
 
+def failing_zgees(info):
+    """A stand-in for LAPACK zgees whose workspace query succeeds and whose
+    factorization returns the given info."""
+
+    def zgees(select, a, compute_v, sort_t, lwork, overwrite_a):
+        n = a.shape[0]
+        work = np.array([2.0 * n + 0j])
+        status = 0 if lwork == -1 else info
+        return np.array(a), 0, np.zeros(n, complex), np.eye(n, dtype=complex), work, status
+
+    return zgees
+
+
 class TestSchurLower:
     @given(st.integers(1, 8), seeds)
     @settings(max_examples=30, deadline=None)
@@ -161,6 +178,52 @@ class TestSchurLower:
             schur_lower(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             schur_lower(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @staticmethod
+    def _oracle_inputs():
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 3, 5, 8, 32):
+            yield _complex_gaussian(rng, (n, n), 1.0)
+        # degenerate: a repeated eigenvalue of a normal matrix
+        w = random_unitary(4, 21)
+        yield w @ np.diag([1.0 - 2.0j, 1.0 - 2.0j, 0.5j, 0.0]) @ w.conj().T
+        # defective: Jordan blocks rotated by a random unitary
+        for n in (3, 8):
+            jordan = np.diag(np.full(n, 0.3 - 0.1j)) + np.diag(np.ones(n - 1), 1)
+            w = random_unitary(n, n)
+            yield w @ jordan @ w.conj().T
+        yield np.array([[0.25 - 4.0j]])
+
+    def test_bit_identical_to_scipy_schur(self):
+        # zgees is called as scipy.linalg.schur calls it, so U and M_hat
+        # match the reversal of scipy's (T, Z) byte for byte
+        from scipy.linalg import schur
+
+        for m in self._oracle_inputs():
+            before = m.copy()
+            u, m_hat = schur_lower(m)
+            t, z = schur(m, output="complex")
+            assert np.array_equal(m, before)  # M is not overwritten
+            assert u.tobytes() == (z.conj().T[::-1] + 0.0).tobytes()
+            assert m_hat.tobytes() == (t[::-1, ::-1] + 0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "info, error, message",
+        [(2, ConvergenceFailure, "failed to converge"), (-4, ValueError, "argument 4")],
+    )
+    def test_lapack_failure_raises(self, monkeypatch, info, error, message):
+        monkeypatch.setattr(passive, "_zgees", lambda: failing_zgees(info))
+        with pytest.raises(error, match=message):
+            schur_lower(np.eye(2, dtype=complex))
+
+    def test_missing_lapack_names_the_searched_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+        passive._zgees.cache_clear()
+        try:
+            with pytest.raises(ImportError, match="_flapack not found in .*scipy.*linalg"):
+                passive._zgees()
+        finally:
+            passive._zgees.cache_clear()
 
 
 class TestBuildSymplectic:

@@ -15,7 +15,6 @@ from cascade_synth import (
     decompose_cascade,
     drift_matrix,
     from_passive_form,
-    identity_system,
     is_cascade_realizable,
     max_abs,
     passive_realize,
@@ -116,13 +115,13 @@ class TestIsCascadeRealizable:
         # a zero-mode system has no cascade; decompose_cascade raises too (below)
         for call in (is_cascade_realizable, passive_realize):
             with pytest.raises(ValueError):
-                call(identity_system(2))
+                call(ref.identity_system(2))
 
 
 class TestDecomposeCascade:
     def test_zero_mode_system_rejected(self):
         with pytest.raises(ValueError):
-            decompose_cascade(identity_system(2))
+            decompose_cascade(ref.identity_system(2))
 
     def test_raises_with_report_attached(self, reference_system):
         with pytest.raises(NotCascadeRealizable) as exc:

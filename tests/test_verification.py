@@ -18,7 +18,6 @@ from cascade_synth import (
     certify_equivalence,
     certify_symplectic,
     from_passive_form,
-    identity_system,
     is_passive,
     max_abs,
     transfer_function,
@@ -78,7 +77,7 @@ class TestTransferFunction:
         assert max_abs(left - perm @ right.conj() @ perm) <= 1e-10 * scale
 
     def test_zero_mode_system(self):
-        ss = build_state_space(identity_system(2))
+        ss = build_state_space(ref.identity_system(2))
         assert np.array_equal(transfer_function(ss, [1.0 + 1.0j])[0], np.eye(4))
 
     def test_rejects_frequency_on_spectrum(self):

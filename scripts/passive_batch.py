@@ -9,7 +9,9 @@ and transfer-function equivalence.  Prints one JSON summary to stdout and
 exits 0 only when every case certifies, so the script can gate CI runs or
 larger parameter sweeps.  Besides the worst case, the summary gives the
 throughput (cases_per_s) and, for each mode count n, the p50, p95 and max of
-the transfer mismatch and of the upper-block residual (by_modes).
+the transfer mismatch, of the upper-block residual, and of the seconds each
+case spent in passive_realize (realize_s) and in its certification
+(certify_s), in by_modes.
 
     python scripts/passive_batch.py --count 500 --max-modes 6 --seed 7
 """
@@ -40,12 +42,38 @@ def distribution(values):
     }
 
 
+def certify_case(sys_, tol, seed):
+    """Realize one system and certify the result; return the names of the
+    failed checks, the equivalence and triangularity reports, and the
+    seconds spent in passive_realize and in the certification."""
+    t_realize = time.perf_counter()
+    realization = passive_realize(sys_, tol=tol)
+    t_certify = time.perf_counter()
+    triangularity = is_cascade_realizable(realization.system, tol=tol)
+    symplectic = certify_symplectic(realization.transform.v, tol=tol)
+    stages_passive = all(is_passive(stage, tol) for stage in realization.chain.stages)
+    equivalence = certify_equivalence(sys_, realization.system, seed=seed)
+    t_done = time.perf_counter()
+    passed = {
+        "triangularity": triangularity.is_triangular,
+        "symplectic": symplectic,
+        "stage_passivity": stages_passive,
+        "equivalence": equivalence.verdict,
+    }
+    failed = [check for check, ok in passed.items() if not ok]
+    return failed, equivalence, triangularity, t_certify - t_realize, t_done - t_certify
+
+
 def run_batch(args):
     rng = np.random.default_rng(args.seed)
     failures = []
     degenerate_count = 0
-    # per mode count: (max_rel_mismatch, max_upper_residual) of each case
+    # per mode count: (max_rel_mismatch, max_upper_residual, realize_s,
+    # certify_s) of each case
     by_modes = {}
+    # one untimed case first, so that no case's timings carry one-time set-up
+    # such as loading LAPACK
+    certify_case(from_passive_form(random_passive_form(2, 1, 0), s=np.eye(1)), args.tol, args.seed)
     t0 = time.perf_counter()
     for case in range(args.count):
         n = int(rng.integers(1, args.max_modes + 1))
@@ -54,20 +82,12 @@ def run_batch(args):
         degenerate_count += degenerate
         pf = random_passive_form(n, m, rng, degenerate=degenerate)
         sys_ = from_passive_form(pf, s=random_unitary(m, rng))
-
-        realization = passive_realize(sys_, tol=args.tol)
-        triangularity = is_cascade_realizable(realization.system, tol=args.tol)
-        if not triangularity.is_triangular:
-            failures.append({"case": case, "check": "triangularity"})
-        if not certify_symplectic(realization.transform.v, tol=args.tol):
-            failures.append({"case": case, "check": "symplectic"})
-        if not all(is_passive(stage, args.tol) for stage in realization.chain.stages):
-            failures.append({"case": case, "check": "stage_passivity"})
-        equivalence = certify_equivalence(sys_, realization.system, seed=args.seed)
-        if not equivalence.verdict:
-            failures.append({"case": case, "check": "equivalence"})
+        failed, equivalence, triangularity, realize_s, certify_s = certify_case(
+            sys_, args.tol, args.seed
+        )
+        failures += [{"case": case, "check": check} for check in failed]
         by_modes.setdefault(n, []).append(
-            (equivalence.max_rel_mismatch, triangularity.max_upper_residual)
+            (equivalence.max_rel_mismatch, triangularity.max_upper_residual, realize_s, certify_s)
         )
     seconds = time.perf_counter() - t0
     cases = [c for n in by_modes for c in by_modes[n]]
@@ -82,6 +102,8 @@ def run_batch(args):
                 "cases": len(by_modes[n]),
                 "max_rel_mismatch": distribution([c[0] for c in by_modes[n]]),
                 "max_upper_residual": distribution([c[1] for c in by_modes[n]]),
+                "realize_s": distribution([c[2] for c in by_modes[n]]),
+                "certify_s": distribution([c[3] for c in by_modes[n]]),
             }
             for n in sorted(by_modes)
         },

@@ -21,6 +21,7 @@ from .documents import RealizationDocument, SystemDocument, _encode
 from .errors import (
     CascadeSynthError,
     ConvergenceFailure,
+    NotCascadeRealizable,
     NotPassive,
     ParseError,
     ResolventSingular,
@@ -120,7 +121,12 @@ def cmd_passive_realize(args) -> int:
     tol = _resolve_tol(args)
     doc = _load_document(args.path)
     system = doc.to_system()
-    realization = passive_realize(system, tol)
+    try:
+        realization = passive_realize(system, tol)
+    except NotCascadeRealizable as exc:
+        # the rotated drift misses a tolerance near rounding: a verdict, not an input error
+        _emit({"error": str(exc), "triangularity": asdict(exc.report)})
+        return EXIT_VERDICT
     triangularity = is_cascade_realizable(realization.system, tol)
     symplectic_residual = ccr_preservation(realization.transform)
     equivalence = certify_equivalence(

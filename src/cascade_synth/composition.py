@@ -19,6 +19,7 @@ from .model import (
     RealMatrix,
     SlhSystem,
     _as_real,
+    _unchecked,
     pair_blocks,
     split_systems,
     stack_max,
@@ -57,16 +58,11 @@ class CascadeChain:
             unitarity, asymmetry = validation_defects(
                 np.array([st.s for st in stages[:shaped]]), r
             )
-            asymmetric = asymmetry > DEFAULT_TOL * stack_max(r)
-            bad = np.flatnonzero((unitarity > DEFAULT_TOL) | asymmetric)
-            if bad.size and unitarity[bad[0]] > DEFAULT_TOL:
-                raise NonUnitaryScattering(
-                    f"stage {bad[0]}: S fails unitarity at tolerance {DEFAULT_TOL:.1e}"
-                )
+            r_max = stack_max(r)
+            bad = np.flatnonzero((unitarity > DEFAULT_TOL) | (asymmetry > DEFAULT_TOL * r_max))
             if bad.size:
-                raise NonSymmetricR(
-                    f"stage {bad[0]}: R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}"
-                )
+                j = bad[0]
+                _check_stage(j, unitarity[j], asymmetry[j], r_max[j])
         if shaped < len(stages):
             stage = stages[shaped]
             if stage.n != 1:
@@ -95,6 +91,29 @@ class CascadeChain:
     @property
     def m(self) -> int:
         return self.stages[0].m
+
+
+def _check_stage(j, unitarity, asymmetry, r_max) -> None:
+    """Raise when stage j of a chain fails its checks: unitarity of S, with
+    an absolute bound, before symmetry of R relative to its own |R|_max."""
+    if unitarity > DEFAULT_TOL:
+        raise NonUnitaryScattering(
+            f"stage {j}: S fails unitarity at tolerance {DEFAULT_TOL:.1e}"
+        )
+    if asymmetry > DEFAULT_TOL * r_max:
+        raise NonSymmetricR(
+            f"stage {j}: R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}"
+        )
+
+
+def _chain_of_split(stages) -> CascadeChain:
+    """The CascadeChain of the stages of one_mode_stages.  They share one
+    shape by construction, and the split measured their validation
+    residuals, so the checks of CascadeChain only compare: the same checks,
+    in the same order, with the same errors."""
+    for j, stage in enumerate(stages):
+        _check_stage(j, *stage._defects, stage._dropped[3])
+    return _unchecked(CascadeChain, stages=stages, residual_r=None)
 
 
 def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:
@@ -176,14 +195,15 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     diagonal 2x2 block of R.  Cascading the stages reproduces (S, K, R)
     exactly once the residual interaction is added back, and with no
     residual at all when the drift matrix is lower 2x2-block triangular.
-    Each stage is judged passive at the scale of sys (see split_systems).
+    The stages are read-only views into private copies of the stacked
+    column pairs and blocks, and each is judged passive at the scale of sys
+    (see split_systems).
     """
     n, m = sys.n, sys.m
     # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R, as views
     k_stack = sys.k.reshape(m, n, 2).swapaxes(0, 1)
     r_stack = pair_blocks(sys.r).diagonal().transpose(2, 0, 1)
-    eye = np.eye(m, dtype=complex)
-    return split_systems(sys, [sys.s] + [eye] * (n - 1), k_stack, r_stack)
+    return split_systems(sys, k_stack, r_stack)
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:

@@ -17,7 +17,7 @@ from typing import Any, Mapping, NoReturn, Optional
 import numpy as np
 
 from .composition import CascadeChain
-from .errors import ParseError
+from .errors import NonHermitianRtilde, ParseError
 from .model import (
     ComplexMatrix,
     PassiveForm,
@@ -25,8 +25,9 @@ from .model import (
     SlhSystem,
     _as_complex,
     _as_real,
+    _readonly,
+    _stages,
     from_passive_form,
-    is_hermitian,
 )
 
 SCHEMA_VERSION = "1"
@@ -257,17 +258,15 @@ class SystemDocument:
                 r=_decode(data["R"], 2 * n, 2 * n, "$.R", False),
             )
         r_tilde = _decode(data["R_tilde"], n, n, "$.R_tilde", True)
-        _require(
-            is_hermitian(r_tilde, HERMITICITY_TOL),
-            f"R_tilde must be Hermitian within {HERMITICITY_TOL:.1e} of |R_tilde|_max",
-            "$.R_tilde",
-        )
-        return cls(
-            form="passive",
-            s=s,
-            k_tilde=_decode(data["K_tilde"], m, n, "$.K_tilde", True),
-            r_tilde=r_tilde,
-        )
+        k_tilde = _decode(data["K_tilde"], m, n, "$.K_tilde", True)
+        # the constructor checks Hermiticity, through PassiveForm.validate
+        try:
+            return cls(form="passive", s=s, k_tilde=k_tilde, r_tilde=r_tilde)
+        except NonHermitianRtilde:
+            raise ParseError(
+                f"R_tilde must be Hermitian within {HERMITICITY_TOL:.1e} of |R_tilde|_max",
+                "$.R_tilde",
+            ) from None
 
     def dumps(self) -> str:
         return canonical_json(self.to_dict())
@@ -292,11 +291,12 @@ def _decode_stage(entry, path) -> SlhSystem:
     )
 
 
-def _decode_stages(entries) -> list[SlhSystem]:
+def _decode_stages(entries) -> tuple[SlhSystem, ...]:
     """Decode the stage objects of a realization document.  Each of S, K
-    and R is converted for all stages at once, with the field count of stage
-    0; only when that fails are the stages decoded one by one, each with its
-    own field count, so that a fault is named at its stage."""
+    and R is converted and checked for all stages at once, with the field
+    count of stage 0, and the stages are read-only views into those stacks
+    (model._stages); only when that fails are the stages decoded one by one,
+    each with its own field count, so that a fault is named at its stage."""
     for i, entry in enumerate(entries):
         path = f"$.stages[{i}]"
         _require(isinstance(entry, dict), "expected an object", path)
@@ -307,9 +307,10 @@ def _decode_stages(entries) -> list[SlhSystem]:
         shapes = {"S": (count, m, m, 2), "K": (count, m, 2, 2), "R": (count, 2, 2)}
         s, k, r = (_convert([entry[key] for entry in entries], shapes[key]) for key in "SKR")
         if all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
-            s, k = s.view(complex)[..., 0], k.view(complex)[..., 0]
-            return [SlhSystem(s=s[i], k=k[i], r=r[i]) for i in range(count)]
-    return [_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries)]
+            # locked before the complex views are taken, which share their memory
+            s, k = (_readonly(a).view(complex)[..., 0] for a in (s, k))
+            return _stages(s, k, r)
+    return tuple(_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries))
 
 
 _REALIZATION_FIELDS = {"schema_version", "input_digest", "stages", "V", "residual_R", "reports"}
@@ -384,7 +385,7 @@ class RealizationDocument:
         _require(isinstance(data["reports"], dict), "expected an object", "$.reports")
         return cls(
             input_digest=data["input_digest"],
-            stages=tuple(stages),
+            stages=stages,
             v=v,
             residual_r=residual,
             reports=data["reports"],

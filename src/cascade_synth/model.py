@@ -172,7 +172,10 @@ class SlhSystem:
     validation residuals, the drift and its triangularity residual, the
     reduction to annihilation variables and what it drops) are computed once
     per system, on first use, and every check compares them against its own
-    tolerance.
+    tolerance.  Systems the pipeline builds from checked values skip the
+    constructor: the stages of split_systems are read-only views into the
+    split's own locked stacks, and the transformed system of
+    passive_realize holds the arrays it computed, locked.
     """
 
     s: ComplexMatrix
@@ -242,7 +245,7 @@ class SlhSystem:
     def _passivity(self) -> tuple[float, float, float]:
         """(k_defect, r_defect, sigma), what is_passive compares: the dropped
         parts and the scale sigma = |R|_max + |K|_max^2 they are judged at.
-        split_systems sets it for the parts of a larger system."""
+        split_systems sets it for the stages of a larger system."""
         k_defect, r_defect, k_max, r_max = self._dropped
         return k_defect, r_defect, r_max + k_max**2
 
@@ -262,22 +265,53 @@ class SlhSystem:
         return self
 
 
-def split_systems(sys: SlhSystem, s, k, r) -> tuple[SlhSystem, ...]:
-    """The systems (s[j], k[j], r[j]) split from sys, for sequences s of
-    scatterings and stacks k and r of views of the arrays of sys.
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls that holds fields as they are,
+    without __post_init__: for arrays the pipeline made itself, from inputs
+    it had checked, and locked.  Fields may include cached properties."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
-    Each part is judged passive at the scale sigma of sys.  What a part drops
-    on reduction to annihilation variables is part of what sys drops, so
-    every part of a passive system is passive, a part that is zero up to the
-    rounding of sys included; judged at its own scale, such a part would
-    fail.  What the parts drop is measured in one pass over the stacks.
+
+def _stages(s, k, r) -> tuple[SlhSystem, ...]:
+    """The one-mode systems (s[j], k[j], r[j]) of the stacks s (count, m, m)
+    and k (count, m, 2) of complex and r (count, 2, 2) of real entries, which
+    the caller made from checked values and holds alone.  The stacks are
+    locked here, and each stage's arrays are read-only views into them."""
+    s, k, r = _readonly(s), _readonly(k), _readonly(r)
+    return tuple(_unchecked(SlhSystem, s=s[j], k=k[j], r=r[j]) for j in range(len(r)))
+
+
+def split_systems(sys: SlhSystem, k, r) -> tuple[SlhSystem, ...]:
+    """The one-mode systems (S, k[0], r[0]), (I, k[1], r[1]), ... split from
+    sys, for stacks k (n, m, 2) and r (n, 2, 2) of views of the arrays of
+    sys.  The scatterings and the stacks are copied once, into private
+    arrays, and the stages are read-only views into them (see _stages); the
+    arrays of sys are finite, so nothing is checked again.
+
+    The structural quantities of the stages are measured in one pass over
+    the stacks: what each drops on reduction to annihilation variables, with
+    its |K|_max and |R|_max, and its asymmetry |R - R^T|_max.  Stage 0's
+    unitarity residual is that of S, and the identity's is exactly 0.  Each
+    stage is judged passive at the scale sigma of sys.  What a stage drops is
+    part of what sys drops, so every stage of a passive system is passive, a
+    stage that is zero up to the rounding of sys included; judged at its own
+    scale, such a stage would fail.
     """
+    n, m = len(r), sys.m
+    s = np.empty((n, m, m), dtype=complex)
+    s[:] = np.eye(m)
+    s[:1] = sys.s
+    k, r = np.array(k), np.array(r)
+    stages = _stages(s, k, r)
     sigma = max_abs(sys.r) + max_abs(sys.k) ** 2
-    parts = tuple(SlhSystem(s=s[j], k=k[j], r=r[j]) for j in range(len(k)))
-    k_defect, r_defect, _, _ = dropped_parts(k, r)
-    for part, kd, rd in zip(parts, k_defect.tolist(), r_defect.tolist()):
-        object.__setattr__(part, "_passivity", (kd, rd, sigma))
-    return parts
+    unitarity = [sys._defects[0]] + [0.0] * (n - 1)
+    asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
+    dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))
+    for stage, u, a, d in zip(stages, unitarity, asymmetry, dropped):
+        stage.__dict__.update(_defects=(u, a), _dropped=d, _passivity=(d[0], d[1], sigma))
+    return stages
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .composition import CascadeChain
-from .errors import ConvergenceFailure, NonUnitaryInput
+from .errors import ConvergenceFailure, NonUnitaryInput, NotPassive
 from .model import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -28,9 +28,11 @@ from .model import (
     RealMatrix,
     SlhSystem,
     _as_real,
+    _readonly,
+    _unchecked,
+    is_passive,
     max_abs,
     realify,
-    to_passive_form,
 )
 from .realizability import decompose_cascade
 
@@ -77,7 +79,11 @@ def mode_matrix(pf: PassiveForm) -> ComplexMatrix:
     Sigma over Sigma^# block-diagonalizes A into diag(M, M^#) against the
     inverse 2 [Sigma^dag  Sigma^T].
     """
-    return -0.25j * (pf.r_tilde - 1j * pf.k_tilde.conj().T @ pf.k_tilde)
+    return _mode_matrix(pf.r_tilde, pf.k_tilde)
+
+
+def _mode_matrix(r_tilde, k_tilde) -> ComplexMatrix:
+    return -0.25j * (r_tilde - 1j * k_tilde.conj().T @ k_tilde)
 
 
 @functools.cache
@@ -168,16 +174,31 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     Hamiltonian blocks that are real multiples of the identity.  V R V^T is
     symmetrized, (X + X^T)/2, so that its rounding asymmetry, which grows
     with |R|, never trips the symmetry check of a later certification.
-    Raises NotPassive, through to_passive_form, for a non-passive input.
+    Raises NotPassive for a non-passive input.
+
+    Everything is built from the checked input, with no PassiveForm and no
+    second unitarity test of LAPACK's Schur vectors U (ccr_preservation
+    measures the resulting V): M from the cached reduction to annihilation
+    variables by the formula of mode_matrix, V = realify(U), and a
+    transformed system that shares S with the input and holds K V^T and the
+    symmetrized V R V^T uncopied.  Its validation residuals are those of S
+    and exactly 0, since (X + X^T)/2 is exactly symmetric.
     """
-    pf = to_passive_form(sys, tol)
-    u, _ = schur_lower(mode_matrix(pf))
-    transform = build_symplectic(u, tol)
-    v = transform.v
+    if not is_passive(sys, tol):
+        raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
+    k_tilde, r_tilde = sys._reduction
+    u, _ = schur_lower(_mode_matrix(r_tilde, k_tilde))
+    v = _readonly(realify(u))
     r = v @ sys.r @ v.T
-    transformed = SlhSystem(s=sys.s, k=sys.k @ v.T, r=(r + r.T) / 2)
+    transformed = _unchecked(
+        SlhSystem,
+        s=sys.s,
+        k=_readonly(sys.k @ v.T),
+        r=_readonly((r + r.T) / 2),
+        _defects=(sys._defects[0], 0.0),
+    )
     return PassiveRealization(
         system=transformed,
-        transform=transform,
+        transform=_unchecked(SymplecticTransform, v=v),
         chain=decompose_cascade(transformed, tol),
     )

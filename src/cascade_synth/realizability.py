@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .composition import CascadeChain, one_mode_stages
+from .composition import CascadeChain, _chain_of_split, one_mode_stages
 from .errors import NotCascadeRealizable
 from .model import DEFAULT_TOL, SlhSystem
 
@@ -57,8 +57,10 @@ def decompose_cascade(sys: SlhSystem, tol=DEFAULT_TOL) -> CascadeChain:
     NotCascadeRealizable, with the failing report attached, when the drift
     matrix is not lower block triangular at the given tolerance, and
     ValueError, through is_cascade_realizable, for a system with no modes.
+    The chain's checks run once, on the residuals the split measured over
+    its stacks, and raise what CascadeChain(stages=...) would.
     """
     report = is_cascade_realizable(sys, tol)
     if not report.is_triangular:
         raise NotCascadeRealizable(report)
-    return CascadeChain(stages=one_mode_stages(sys))
+    return _chain_of_split(one_mode_stages(sys))

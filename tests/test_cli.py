@@ -20,7 +20,7 @@ from cascade_synth import (
 )
 from cascade_synth import cli, passive
 from cascade_synth.cli import main
-from cascade_synth.sampling import random_chain, random_system
+from cascade_synth.sampling import random_chain, random_passive_form, random_system, random_unitary
 from test_model import SCALES, bumped_passive, rounded_hermitian, zero_mode_system
 from test_passive import failing_zgees
 
@@ -325,6 +325,59 @@ class TestVerify:
         code, payload = run_cli(capsys, "verify", path, other, "--samples", samples)
         assert code == 1 and payload["kind"] == "input"
         assert "verdict" not in payload
+
+
+class TestVacuousVerdict:
+    """With m = 0 the transfer function is 0 x 0: the verdict holds for any
+    two systems of one mode count, and the report says it is vacuous."""
+
+    @staticmethod
+    def no_field_docs(tmp_path):
+        pfs = [random_passive_form(3, 0, seed) for seed in (1, 2)]
+        return [
+            write_doc(tmp_path, f"m0_{i}.json", SystemDocument.from_passive(pf, s=np.eye(0)))
+            for i, pf in enumerate(pfs)
+        ]
+
+    def test_verify(self, capsys, tmp_path, cascade_doc):
+        a, b = self.no_field_docs(tmp_path)
+        code, payload = run_cli(capsys, "verify", a, b)
+        assert code == 0 and payload["verdict"] is True
+        assert payload["vacuous"] is True and payload["max_rel_mismatch"] == 0.0
+        path, _, _ = cascade_doc
+        code, payload = run_cli(capsys, "verify", path, path)
+        assert code == 0 and payload["vacuous"] is False
+
+    def test_passive_realize(self, capsys, tmp_path, reference_doc):
+        path, _ = self.no_field_docs(tmp_path)
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 0 and payload["reports"]["equivalence"]["vacuous"] is True
+        path, _ = reference_doc
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 0 and payload["reports"]["equivalence"]["vacuous"] is False
+
+
+class TestTightTolerance:
+    def test_passive_realize_never_reports_an_input_error(self, capsys, monkeypatch, tmp_path):
+        # U is LAPACK's own Schur unitary and is not tested again, so a
+        # tolerance near rounding gives a verdict (exit 0 or 2), never exit 1
+        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-15")
+        codes = set()
+        for seed in range(12):
+            pf = random_passive_form(4, 1 + seed % 3, seed)
+            doc = SystemDocument.from_passive(pf, s=random_unitary(pf.m, seed))
+            code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "t.json", doc))
+            assert code in (0, 2), payload
+            codes.add(code)
+        assert codes == {0, 2}
+
+    def test_untriangular_rotation_is_a_verdict(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-18")
+        pf = random_passive_form(4, 2, 3)
+        doc = SystemDocument.from_passive(pf, s=random_unitary(2, 3))
+        code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "t.json", doc))
+        assert code == 2 and payload["triangularity"]["is_triangular"] is False
+        assert payload["error"].startswith("drift matrix is not lower 2x2-block triangular")
 
 
 class TestEnvironmentTolerance:

@@ -15,15 +15,18 @@ from cascade_synth import (
     NonUnitaryScattering,
     SlhSystem,
     cascade,
+    decompose_cascade,
     drift_matrix,
+    is_cascade_realizable,
     max_abs,
     one_mode_stages,
     residual_interaction,
     series,
 )
-from cascade_synth.sampling import random_chain, random_system
+from cascade_synth.sampling import random_chain, random_passive_system, random_system
 
 import reference_data as ref
+from test_io import assert_bits_equal
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -280,3 +283,65 @@ class TestOneModeStages:
                 assert np.array_equal(stage.s, np.eye(2))
             assert np.array_equal(stage.k, sys.k[:, 2 * j : 2 * j + 2])
             assert np.array_equal(stage.r, sys.r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2])
+
+
+def stage_oracle(sys, j):
+    """Stage j built by the public constructor from slices: (S or I,
+    K[:, 2j:2j+2], R[2j:2j+2, 2j:2j+2])."""
+    s = sys.s if j == 0 else np.eye(sys.m, dtype=complex)
+    return SlhSystem(s=s, k=sys.k[:, 2 * j : 2 * j + 2], r=sys.r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2])
+
+
+def triangular_system(n, m, seed):
+    """A cascade-realizable system with caller-owned, writable arrays."""
+    sys = cascade(random_chain(n, m, seed))
+    return np.array(sys.s), np.array(sys.k), np.array(sys.r)
+
+
+class TestStageSplit:
+    """The stages of one_mode_stages are read-only views into the split's
+    own stacks, built without the per-stage constructor checks."""
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 2, 1), (6, 4, 2), (4, 0, 3), (2, 3, 4)])
+    def test_stages_match_loop_built_oracle(self, n, m, seed):
+        for sys in (random_system(n, m, seed), random_passive_system(n, m, seed)):
+            stages = one_mode_stages(sys)
+            assert len(stages) == n
+            for j, stage in enumerate(stages):
+                oracle = stage_oracle(sys, j)
+                for a, b in ((stage.s, oracle.s), (stage.k, oracle.k), (stage.r, oracle.r)):
+                    assert_bits_equal(a, b)
+                # measured on the stacks, the same numbers each stage would compute
+                assert stage._defects == oracle._defects
+                assert stage._dropped == oracle._dropped
+                assert stage._passivity == oracle._passivity[:2] + sys._passivity[2:]
+
+    def test_stage_arrays_are_read_only_and_private(self):
+        s, k, r = triangular_system(4, 2, 5)
+        sys = SlhSystem(s=s, k=k, r=r)
+        for stages in (one_mode_stages(sys), decompose_cascade(sys).stages):
+            for stage in stages:
+                for a in (stage.s, stage.k, stage.r):
+                    with pytest.raises(ValueError):
+                        a[0, 0] = 1.0
+                    with pytest.raises(ValueError):
+                        a.setflags(write=True)
+                    for other in (s, k, r, sys.s, sys.k, sys.r):
+                        assert not np.shares_memory(a, other)
+
+    def test_decompose_raises_what_the_chain_constructor_raises(self):
+        s, k, r = triangular_system(3, 2, 6)
+        leaky = SlhSystem(s=(1.0 + 1e-6) * s, k=k, r=r)
+        r_tilted = r.copy()
+        r_tilted[2, 3] += 1e-6 * max_abs(r[2:4, 2:4])  # diagonal block 1, upper entry
+        tilted = SlhSystem(s=s, k=k, r=r_tilted)
+        for sys, error, message in (
+            (leaky, NonUnitaryScattering, "stage 0: S fails unitarity at tolerance 1.0e-09"),
+            (tilted, NonSymmetricR, "stage 1: R fails symmetry at relative tolerance 1.0e-09"),
+        ):
+            assert is_cascade_realizable(sys).is_triangular
+            with pytest.raises(error) as public:
+                CascadeChain(stages=one_mode_stages(sys))
+            with pytest.raises(error) as split:
+                decompose_cascade(sys)
+            assert str(split.value) == str(public.value) == message

@@ -20,6 +20,7 @@ from cascade_synth import (
     from_passive_form,
     max_abs,
 )
+from cascade_synth.model import is_hermitian
 from cascade_synth.sampling import (
     random_chain,
     random_passive_form,
@@ -293,6 +294,33 @@ class TestSystemDocument:
         assert len(calls) == 1 and loaded.to_system() is system
         assert system.validate() is system
 
+    def test_hermiticity_is_checked_once_per_read(self, monkeypatch):
+        calls = []
+
+        def recording(a, tol):
+            calls.append(tol)
+            return is_hermitian(a, tol)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cascade_synth") and getattr(
+                module, "is_hermitian", None
+            ) is is_hermitian:
+                monkeypatch.setattr(module, "is_hermitian", recording)
+        doc = SystemDocument.from_passive(
+            random_passive_form(3, 2, 6), s=np.eye(2, dtype=complex)
+        )
+        text = doc.dumps()
+        calls.clear()
+        SystemDocument.loads(text)
+        assert calls == [1e-9]
+        data = json.loads(text)
+        data["R_tilde"][0][1] = [99.0, 0.0]
+        calls.clear()
+        with pytest.raises(ParseError) as exc:
+            SystemDocument.from_dict(data)
+        assert calls == [1e-9] and exc.value.path == "$.R_tilde"
+        assert str(exc.value) == "$.R_tilde: R_tilde must be Hermitian within 1.0e-09 of |R_tilde|_max"
+
     def test_rejects_invalid_json_and_non_objects(self):
         with pytest.raises(ParseError):
             SystemDocument.loads("{not json")
@@ -456,6 +484,25 @@ class TestRealizationStages:
         assert [st.m for st in doc.stages] == [2, 2, 2, 3, 2]
         with pytest.raises(FieldCountMismatch):
             doc.to_chain()
+
+    def test_decoded_stages_are_read_only_views_of_their_own(self):
+        chain = random_chain(4, 3, 9)
+        doc = RealizationDocument(input_digest="0", stages=chain.stages)
+        loaded = RealizationDocument.loads(doc.dumps())
+        for stage, source in zip(loaded.stages, chain.stages):
+            for a, b in ((stage.s, source.s), (stage.k, source.k), (stage.r, source.r)):
+                assert_bits_equal(a, b)
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
+                for other in chain.stages:
+                    for c in (other.s, other.k, other.r):
+                        assert not np.shares_memory(a, c)
+            # judged at its own scale, as a freshly constructed system is
+            fresh = SlhSystem(s=source.s, k=source.k, r=source.r)
+            assert stage._passivity == fresh._passivity
+        assert loaded.to_chain().n == 4
 
     def test_stages_match_cell_by_cell_decoder(self):
         data = self.data()

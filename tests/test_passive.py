@@ -18,6 +18,7 @@ from cascade_synth import (
     build_symplectic,
     cascade,
     certify_symplectic,
+    decompose_cascade,
     drift_matrix,
     from_passive_form,
     is_cascade_realizable,
@@ -310,6 +311,31 @@ class TestPassiveRealize:
         assert np.array_equal(moved.r, moved.r.T)
         assert chain.n == n and chain.residual_r is None
         assert certify_equivalence(sys, moved).verdict
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 2, 1), (6, 4, 2), (4, 0, 3)])
+    def test_pipeline_matches_the_public_constructors(self, n, m, seed):
+        # passive_realize builds from the checked input without PassiveForm,
+        # build_symplectic or the SlhSystem constructor; the public route
+        # through them gives the same bits
+        sys = random_passive_system(n, m, seed)
+        moved, transform, chain = passive_realize(sys)
+        u, _ = schur_lower(mode_matrix(to_passive_form(sys)))
+        v = build_symplectic(u).v
+        rotated = v @ sys.r @ v.T
+        public = SlhSystem(s=sys.s, k=sys.k @ v.T, r=(rotated + rotated.T) / 2)
+        assert transform.v.tobytes() == v.tobytes()
+        for a, b in ((moved.s, public.s), (moved.k, public.k), (moved.r, public.r)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            transform.v[0, 0] = 1.0
+        # the residuals set on the transformed system are the ones it would compute
+        assert moved._defects == public._defects
+        assert moved._defects[1] == 0.0
+        assert [st.r.tobytes() for st in chain.stages] == [
+            st.r.tobytes() for st in decompose_cascade(public).stages
+        ]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_large_scale_realization_certifies(self, seed):

@@ -31,10 +31,12 @@ def test_passive_batch_certifies_every_case(capsys):
     assert sum(entry["cases"] for entry in by_modes.values()) == 20
     keys = ("max_rel_mismatch", "max_upper_residual")
     for entry in by_modes.values():
-        for key in keys:
+        assert set(entry) == {"cases", *keys, "realize_s", "certify_s"}
+        for key in (*keys, "realize_s", "certify_s"):
             dist = entry[key]
             assert set(dist) == {"p50", "p95", "max"}
             assert 0.0 <= dist["p50"] <= dist["p95"] <= dist["max"]
+        assert entry["realize_s"]["p50"] > 0.0 and entry["certify_s"]["p50"] > 0.0
     worst = {key: max(e[key]["max"] for e in by_modes.values()) for key in keys}
     assert worst["max_rel_mismatch"] == summary["worst_transfer_mismatch"]
     assert worst["max_upper_residual"] == summary["worst_upper_residual"]

@@ -30,7 +30,7 @@ from cascade_synth.sampling import (
     random_unitary,
 )
 from cascade_synth import verification
-from cascade_synth.verification import _evaluate, _mode_space
+from cascade_synth.verification import _evaluate, _mode_spaces
 
 import reference_data as ref
 
@@ -118,6 +118,33 @@ class TestCertifyEquivalence:
         assert report.samples_used == 20
         assert report.tolerance == 1e-8
         assert report.seed == 0
+
+    def test_no_fields_is_vacuous_on_both_routes(self):
+        # 0 x 0 transfer functions agree for any two systems with the same n
+        pairs = {
+            "passive": [random_passive_system(3, 0, seed) for seed in (1, 2)],
+            "general": [random_system(3, 0, seed) for seed in (1, 2)],
+        }
+        for route, (a, b) in pairs.items():
+            assert is_passive(a) is is_passive(b) is (route == "passive")
+            report = certify_equivalence(a, b)
+            assert report.verdict and report.vacuous
+            assert report.max_rel_mismatch == 0.0
+        for sys in (random_passive_system(3, 1, 1), random_system(3, 1, 1)):
+            assert certify_equivalence(sys, sys).vacuous is False
+
+    def test_pair_mode_spaces_match_each_system(self):
+        # the pair's state spaces are formed in one stacked pass, bit for bit
+        # the per-system formula
+        for n, m in ((1, 1), (4, 2), (6, 4), (3, 0)):
+            pair = [random_passive_system(n, m, seed) for seed in (n, n + 1)]
+            stacked = _mode_spaces(pair)
+            for i, sys in enumerate(pair):
+                k_tilde, r_tilde = sys._reduction
+                k_dag = k_tilde.conj().T
+                single = (-0.5j * r_tilde - 0.5 * (k_dag @ k_tilde), k_dag @ sys.s, -k_tilde, sys.s)
+                for a, b in zip(stacked, single):
+                    assert a[i].tobytes() == b.tobytes()
 
     def test_reference_against_printed_realization(self, reference_system):
         printed = SlhSystem(
@@ -208,7 +235,7 @@ def scaled_passive(seed, c, s):
 def passive_route_values(sys, points):
     """The doubled-up G that the passive route builds, diag(G_-(s), G_-(conj s)^#)."""
     both = np.concatenate([points, points.conj()])
-    minus = _evaluate(*_mode_space(sys), both).reshape(2, len(points), sys.m, sys.m)
+    minus = _evaluate(*_mode_spaces([sys]), both).reshape(2, len(points), sys.m, sys.m)
     values = np.zeros((len(points), 2 * sys.m, 2 * sys.m), dtype=complex)
     values[:, : sys.m, : sys.m] = minus[0]
     values[:, sys.m :, sys.m :] = minus[1].conj()

@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except (NotPassive, ScatteringMismatch) as exc:
         _emit({"error": str(exc), "kind": "precondition"})
         return EXIT_PRECONDITION
-    except (ConvergenceFailure, ResolventSingular) as exc:
+    except (ConvergenceFailure, ResolventSingular, OverflowError) as exc:
         _emit({"error": str(exc), "kind": "numeric"})
         return EXIT_NUMERIC
     except (ValueError, CascadeSynthError) as exc:

@@ -14,17 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadResidual, FieldCountMismatch, NonSymmetricR, NonUnitaryScattering
-from .model import (
-    DEFAULT_TOL,
-    RealMatrix,
-    SlhSystem,
-    _as_real,
-    _unchecked,
-    pair_blocks,
-    split_systems,
-    stack_max,
-    validation_defects,
-)
+from .model import RealMatrix, SlhSystem, _as_real, pair_blocks, split_systems
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,10 +24,10 @@ class CascadeChain:
     stages[0] receives the input field first; stages[-1] emits the output.
     residual_r, when present, is a real symmetric 2n x 2n matrix with zero
     2x2 diagonal blocks that couples distinct stages directly (a bilinear
-    interaction on top of the field-mediated cascade).  Every stage must
-    pass SlhSystem.validate, each R symmetric relative to its own |R|_max,
-    checked over the stacked stage matrices in one pass; cascade relies on
-    unitary stage scatterings.
+    interaction on top of the field-mediated cascade).  Each stage, lowest
+    first, must have one mode and the field count of stage 0 and pass
+    SlhSystem.validate, which compares its cached residuals; cascade relies
+    on unitary stage scatterings.
     """
 
     stages: tuple[SlhSystem, ...]
@@ -47,29 +37,17 @@ class CascadeChain:
         stages = tuple(self.stages)
         if not stages:
             raise ValueError("a chain needs at least one stage")
-        # one stacked validation over the stages before the first one of
-        # another shape; the lowest failing stage raises, as a loop would
-        shaped = next(
-            (idx for idx, st in enumerate(stages) if st.n != 1 or st.m != stages[0].m),
-            len(stages),
-        )
-        if shaped:
-            r = np.array([st.r for st in stages[:shaped]])
-            unitarity, asymmetry = validation_defects(
-                np.array([st.s for st in stages[:shaped]]), r
-            )
-            r_max = stack_max(r)
-            bad = np.flatnonzero((unitarity > DEFAULT_TOL) | (asymmetry > DEFAULT_TOL * r_max))
-            if bad.size:
-                j = bad[0]
-                _check_stage(j, unitarity[j], asymmetry[j], r_max[j])
-        if shaped < len(stages):
-            stage = stages[shaped]
+        for j, stage in enumerate(stages):
             if stage.n != 1:
-                raise ValueError(f"stage {shaped} has {stage.n} modes, expected 1")
-            raise FieldCountMismatch(
-                f"stage {shaped} has {stage.m} fields, stage 0 has {stages[0].m}"
-            )
+                raise ValueError(f"stage {j} has {stage.n} modes, expected 1")
+            if stage.m != stages[0].m:
+                raise FieldCountMismatch(
+                    f"stage {j} has {stage.m} fields, stage 0 has {stages[0].m}"
+                )
+            try:
+                stage.validate()
+            except (NonUnitaryScattering, NonSymmetricR) as exc:
+                raise type(exc)(f"stage {j}: {exc}") from None
         object.__setattr__(self, "stages", stages)
         if self.residual_r is not None:
             rd = _as_real(self.residual_r, "residual_R")
@@ -91,29 +69,6 @@ class CascadeChain:
     @property
     def m(self) -> int:
         return self.stages[0].m
-
-
-def _check_stage(j, unitarity, asymmetry, r_max) -> None:
-    """Raise when stage j of a chain fails its checks: unitarity of S, with
-    an absolute bound, before symmetry of R relative to its own |R|_max."""
-    if unitarity > DEFAULT_TOL:
-        raise NonUnitaryScattering(
-            f"stage {j}: S fails unitarity at tolerance {DEFAULT_TOL:.1e}"
-        )
-    if asymmetry > DEFAULT_TOL * r_max:
-        raise NonSymmetricR(
-            f"stage {j}: R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}"
-        )
-
-
-def _chain_of_split(stages) -> CascadeChain:
-    """The CascadeChain of the stages of one_mode_stages.  They share one
-    shape by construction, and the split measured their validation
-    residuals, so the checks of CascadeChain only compare: the same checks,
-    in the same order, with the same errors."""
-    for j, stage in enumerate(stages):
-        _check_stage(j, *stage._defects, stage._dropped[3])
-    return _unchecked(CascadeChain, stages=stages, residual_r=None)
 
 
 def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:

@@ -23,7 +23,6 @@ from .model import (
     PassiveForm,
     RealMatrix,
     SlhSystem,
-    _as_complex,
     _as_real,
     _readonly,
     _stages,
@@ -193,18 +192,16 @@ class SystemDocument:
         for name in absent:
             if getattr(self, name) is not None:
                 raise ValueError(f"{self.form} form must not carry {name}")
-        object.__setattr__(self, "s", _as_complex(self.s, "S"))
-        for name in present:
-            as_matrix = _as_real if name == "r" else _as_complex
-            label = name[0].upper() + name[1:]
-            object.__setattr__(self, name, as_matrix(getattr(self, name), label))
-        # the domain type validates the shapes; SlhSystem is immutable, so
-        # the one built here is the one to_system returns
+        # the domain types copy and check the arrays, and the document keeps
+        # theirs; the SlhSystem built here is the one to_system returns
         if self.form == "general":
-            system = SlhSystem(s=self.s, k=self.k, r=self.r)
+            system = owner = SlhSystem(s=self.s, k=self.k, r=self.r)
         else:
-            pf = PassiveForm(r_tilde=self.r_tilde, k_tilde=self.k_tilde)
-            system = from_passive_form(pf, self.s, tol_sym=HERMITICITY_TOL)
+            owner = PassiveForm(r_tilde=self.r_tilde, k_tilde=self.k_tilde)
+            system = from_passive_form(owner, self.s, tol_sym=HERMITICITY_TOL)
+        for name in present:
+            object.__setattr__(self, name, getattr(owner, name))
+        object.__setattr__(self, "s", system.s)
         object.__setattr__(self, "_system", system)
 
     @property

@@ -41,17 +41,6 @@ def stack_max(a) -> np.ndarray:
     return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
 
 
-def validation_defects(s, r):
-    """Return the residuals that SlhSystem.validate bounds, for stacks of
-    systems: |S_i^dag S_i - I|_max over the (k, m, m) scattering stack s and
-    |R_i - R_i^T|_max over the (k, 2n, 2n) Hamiltonian stack r."""
-    eye = np.eye(s.shape[-1])
-    return (
-        stack_max(np.swapaxes(s, -1, -2).conj() @ s - eye),
-        stack_max(r - np.swapaxes(r, -1, -2)),
-    )
-
-
 def dropped_parts(k, r):
     """For stacks k (..., m, 2n) and r (..., 2n, 2n) of couplings and
     Hamiltonians, return the arrays (k_defect, r_defect, |K|_max, |R|_max)
@@ -125,6 +114,21 @@ def theta_times(x):
     return out
 
 
+def _finite(scale, name) -> float:
+    """scale, or OverflowError when it is not finite: any finite residual
+    passes at an infinite scale, so no verdict is judged there."""
+    if not math.isfinite(scale):
+        raise OverflowError(f"{name} is not finite; no verdict is judged at this scale")
+    return scale
+
+
+def _sigma(r_max, k_max) -> float:
+    """The scale sigma = |R|_max + |K|_max^2 of is_passive, when finite; the
+    float power raises on its own from |K|_max = 2**512 on."""
+    square = k_max**2 if k_max < 2.0**512 else math.inf
+    return _finite(r_max + square, "the passivity scale |R|_max + |K|_max^2")
+
+
 def _readonly(a):
     a.setflags(write=False)
     return a
@@ -167,14 +171,15 @@ class SlhSystem:
 
     Construction checks shapes and finiteness only; the unitarity and
     symmetry tolerances are enforced by :meth:`validate`, which the
-    state-space builder calls.  Each array is copied once on construction
-    and locked, so the structural quantities that need no tolerance (the
-    validation residuals, the drift and its triangularity residual, the
-    reduction to annihilation variables and what it drops) are computed once
-    per system, on first use, and every check compares them against its own
-    tolerance.  Systems the pipeline builds from checked values skip the
-    constructor: the stages of split_systems are read-only views into the
-    split's own locked stacks, and the transformed system of
+    state-space builder and CascadeChain call.  Each array is copied once on
+    construction and locked, so the structural quantities that need no
+    tolerance (the validation residuals, the drift and its triangularity
+    residual, the reduction to annihilation variables and what it drops) are
+    computed once per system, on first use, and every check compares them
+    against its own tolerance; a drift or passivity scale that is not finite
+    raises OverflowError.  Systems the pipeline builds from checked values
+    skip the constructor: the stages of split_systems are read-only views
+    into the split's own locked stacks, and the transformed system of
     passive_realize holds the arrays it computed, locked.
     """
 
@@ -212,15 +217,17 @@ class SlhSystem:
     @cached_property
     def _defects(self) -> tuple[float, float]:
         """(|S^dag S - I|_max, |R - R^T|_max), the residuals validate bounds."""
-        unitarity, asymmetry = validation_defects(self.s[None], self.r[None])
-        return float(unitarity[0]), float(asymmetry[0])
+        s, r = self.s, self.r
+        return max_abs(s.conj().T @ s - np.eye(self.m)), max_abs(r - r.T)
 
     @cached_property
     def _drift(self) -> tuple[RealMatrix, float, float]:
         """(A, the max-norm of its 2x2 blocks strictly above the block
-        diagonal, |A|_max) for the drift A of drift_matrix."""
-        a = _readonly(drift_matrix(self))
-        return a, max_abs(pair_blocks(a)[~np.tri(self.n, dtype=bool)]), max_abs(a)
+        diagonal, |A|_max) for the drift A of drift_matrix (see _finite)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _readonly(drift_matrix(self))
+        scale = _finite(max_abs(a), "|A|_max of the drift")
+        return a, max_abs(pair_blocks(a)[~np.tri(self.n, dtype=bool)]), scale
 
     @cached_property
     def _reduction(self) -> tuple[ComplexMatrix, ComplexMatrix]:
@@ -244,10 +251,10 @@ class SlhSystem:
     @cached_property
     def _passivity(self) -> tuple[float, float, float]:
         """(k_defect, r_defect, sigma), what is_passive compares: the dropped
-        parts and the scale sigma = |R|_max + |K|_max^2 they are judged at.
+        parts and the scale sigma they are judged at (see _sigma).
         split_systems sets it for the stages of a larger system."""
         k_defect, r_defect, k_max, r_max = self._dropped
-        return k_defect, r_defect, r_max + k_max**2
+        return k_defect, r_defect, _sigma(r_max, k_max)
 
     def validate(self, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL) -> "SlhSystem":
         """Check unitarity of S, |S^dag S - I|_max <= tol_unitary, and symmetry
@@ -305,7 +312,7 @@ def split_systems(sys: SlhSystem, k, r) -> tuple[SlhSystem, ...]:
     s[:1] = sys.s
     k, r = np.array(k), np.array(r)
     stages = _stages(s, k, r)
-    sigma = max_abs(sys.r) + max_abs(sys.k) ** 2
+    sigma = _sigma(max_abs(sys.r), max_abs(sys.k))
     unitarity = [sys._defects[0]] + [0.0] * (n - 1)
     asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
     dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))

@@ -1,12 +1,13 @@
 """Shared fixtures: the two-mode passive reference system in both forms,
-and a recorder of drift_matrix calls."""
+and recorders of drift_matrix calls and of cached SlhSystem quantities."""
 
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from cascade_synth import PassiveForm, drift_matrix, from_passive_form
+from cascade_synth import PassiveForm, SlhSystem, drift_matrix, from_passive_form
 
 import reference_data as ref
 
@@ -36,3 +37,24 @@ def drift_calls(monkeypatch):
         if name.startswith("cascade_synth") and holds:
             monkeypatch.setattr(module, "drift_matrix", recording)
     return calls
+
+
+@pytest.fixture
+def count_computations(monkeypatch):
+    """count(name) replaces the cached property name of SlhSystem by one
+    that records each system it computes for, and returns that record."""
+
+    def count(name):
+        computed = []
+        compute = SlhSystem.__dict__[name].func
+
+        def recording(self):
+            computed.append(self)
+            return compute(self)
+
+        prop = cached_property(recording)
+        prop.__set_name__(SlhSystem, name)
+        monkeypatch.setattr(SlhSystem, name, prop)
+        return computed
+
+    return count

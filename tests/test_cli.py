@@ -21,7 +21,7 @@ from cascade_synth import (
 from cascade_synth import cli, passive
 from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_passive_form, random_system, random_unitary
-from test_model import SCALES, bumped_passive, rounded_hermitian, zero_mode_system
+from test_model import SCALES, bumped_passive, coupled_system, rounded_hermitian, zero_mode_system
 from test_passive import failing_zgees
 
 import reference_data as ref
@@ -105,6 +105,14 @@ class TestCheck:
         doc = SystemDocument.from_system(ref.identity_system(2))
         code, payload = run_cli(capsys, command, write_doc(tmp_path, "empty.json", doc))
         assert code == 1 and payload["kind"] == "input"
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize"])
+    def test_overflowing_scale_is_numeric(self, capsys, tmp_path, command):
+        # run_cli reads stdout as exactly one JSON object
+        doc = SystemDocument.from_system(coupled_system(1e160))
+        code, payload = run_cli(capsys, command, write_doc(tmp_path, "overflow.json", doc))
+        assert code == 4 and payload["kind"] == "numeric"
+        assert "is not finite" in payload["error"]
 
 
 class TestDecompose:

@@ -183,7 +183,7 @@ class TestCascade:
         leaky = SlhSystem(s=(1.0 + 1e-6) * stage.s, k=stage.k, r=stage.r)
         with pytest.raises(NonUnitaryScattering):
             CascadeChain(stages=(stage, leaky))
-        # the stages are checked in one stacked pass that names the first failure
+        # the stages are checked in order, and the error names the first failure
         with pytest.raises(NonUnitaryScattering, match="stage 2"):
             CascadeChain(stages=(stage, stage, leaky, leaky))
         tilted = SlhSystem(s=stage.s, k=stage.k, r=stage.r + np.array([[0.0, 1e-6], [0.0, 0.0]]))
@@ -345,3 +345,14 @@ class TestStageSplit:
             with pytest.raises(error) as split:
                 decompose_cascade(sys)
             assert str(split.value) == str(public.value) == message
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_chain_checks_compute_nothing_for_the_stages(self, count_computations, n):
+        sys = SlhSystem(*triangular_system(n, 2, 7))
+        defects = count_computations("_defects")
+        dropped = count_computations("_dropped")
+        for chain in (decompose_cascade(sys), CascadeChain(stages=one_mode_stages(sys))):
+            assert chain.n == n
+        # the split measured what the chain checks compare; only sys computes
+        # its own unitarity residual, once, for stage 0
+        assert defects == [sys] and dropped == []

@@ -20,7 +20,8 @@ from cascade_synth import (
     from_passive_form,
     max_abs,
 )
-from cascade_synth.model import is_hermitian
+from cascade_synth import model
+from cascade_synth.model import _as_matrix as as_matrix, is_hermitian
 from cascade_synth.sampling import (
     random_chain,
     random_passive_form,
@@ -320,6 +321,33 @@ class TestSystemDocument:
             SystemDocument.from_dict(data)
         assert calls == [1e-9] and exc.value.path == "$.R_tilde"
         assert str(exc.value) == "$.R_tilde: R_tilde must be Hermitian within 1.0e-09 of |R_tilde|_max"
+
+    def test_arrays_are_copied_once_per_read(self, monkeypatch):
+        names = []
+
+        def recording(value, dtype, name):
+            names.append(name)
+            return as_matrix(value, dtype, name)
+
+        monkeypatch.setattr(model, "_as_matrix", recording)
+        general = SystemDocument.from_system(random_system(3, 2, 7))
+        passive = SystemDocument.from_passive(
+            random_passive_form(3, 2, 7), s=np.eye(2, dtype=complex)
+        )
+        for doc, copied in (
+            (general, ["S", "K", "R"]),
+            (passive, ["R_tilde", "K_tilde", "S", "K", "R"]),
+        ):
+            text = doc.dumps()
+            names.clear()
+            loaded = SystemDocument.loads(text)
+            assert names == copied
+            # the document holds the arrays of the system it describes
+            system = loaded.to_system()
+            assert loaded.s is system.s
+            assert loaded.dumps() == text
+        general = SystemDocument.loads(general.dumps())
+        assert general.k is general.to_system().k and general.r is general.to_system().r
 
     def test_rejects_invalid_json_and_non_objects(self):
         with pytest.raises(ParseError):

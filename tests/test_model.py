@@ -1,6 +1,5 @@
 """Structural constants, domain types, state-space construction, passivity."""
 
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -285,6 +284,42 @@ class TestPassivityScale:
         assert not is_passive(SlhSystem(s=np.eye(1), k=k * 1e-3, r=r), 1e-7)
 
 
+def coupled_system(c):
+    """A two-mode, one-field system with |K|_max = c and |R|_max = 1: its
+    drift and its passivity scale sigma overflow binary64 at c = 1e160."""
+    r = np.zeros((4, 4))
+    r[0, 2] = r[2, 0] = 1.0
+    return SlhSystem(s=np.eye(1), k=np.array([[c, 1j * c, 1.0, 2j]]), r=r)
+
+
+class TestNonFiniteScale:
+    """Any finite residual passes at an infinite scale, so no verdict is
+    judged there."""
+
+    def test_overflowing_drift_raises(self):
+        sys = coupled_system(1e160)
+        for judge in (is_cascade_realizable, build_state_space):
+            with pytest.raises(OverflowError, match="drift is not finite"):
+                judge(sys)
+
+    def test_overflowing_sigma_raises(self):
+        sys = coupled_system(1e160)
+        for judge in (is_passive, to_passive_form, passive_realize, one_mode_stages):
+            with pytest.raises(OverflowError, match="passivity scale"):
+                judge(sys)
+        # |R|_max + |K|_max^2 overflows in the sum, with both terms finite
+        big = SlhSystem(s=np.eye(1), k=np.array([[1e154, 1e154j]]), r=1e308 * np.eye(2))
+        with pytest.raises(OverflowError, match="passivity scale"):
+            is_passive(big)
+
+    def test_large_finite_scale_is_judged(self):
+        sys = coupled_system(1e150)
+        report = is_cascade_realizable(sys)
+        assert 1e300 < report.scale < 1e301 and report.is_triangular
+        # what the (1, 2i) column pair drops is below the rounding of sigma
+        assert is_passive(sys)
+
+
 SCALES = [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8]
 
 
@@ -340,22 +375,6 @@ def zero_mode_system(seed):
     return from_passive_form(pf, np.eye(1))
 
 
-def count_computations(monkeypatch, name):
-    """Replace the cached property name of SlhSystem by one that records
-    each system it computes for."""
-    computed = []
-    compute = SlhSystem.__dict__[name].func
-
-    def recording(self):
-        computed.append(self)
-        return compute(self)
-
-    prop = cached_property(recording)
-    prop.__set_name__(SlhSystem, name)
-    monkeypatch.setattr(SlhSystem, name, prop)
-    return computed
-
-
 class TestComputeOnce:
     def test_arrays_are_read_only(self):
         sys = random_system(2, 2, 3)
@@ -402,8 +421,8 @@ class TestComputeOnce:
         assert not np.array_equal(view, sys.r)
         assert sys.validate() is sys and sys._defects == (0.0, 0.0)
 
-    def test_passivity_reduction_computed_once(self, monkeypatch):
-        computed = count_computations(monkeypatch, "_dropped")
+    def test_passivity_reduction_computed_once(self, count_computations):
+        computed = count_computations("_dropped")
         sys = random_passive_system(3, 2, 9)
         off = SlhSystem(s=sys.s, k=sys.k, r=sys.r + np.diag([1e-6, 0, 0, 0, 0, 0]))
         for tol in (1e-9, 1e-3, 1e-9):
@@ -412,9 +431,9 @@ class TestComputeOnce:
         assert computed == [sys, off]
 
     @pytest.mark.parametrize("n, m, seed", [(1, 2, 13), (5, 3, 14), (4, 0, 15)])
-    def test_stage_split_measures_stage_passivity(self, monkeypatch, n, m, seed):
+    def test_stage_split_measures_stage_passivity(self, count_computations, n, m, seed):
         sys = random_passive_system(n, m, seed)
-        computed = count_computations(monkeypatch, "_dropped")
+        computed = count_computations("_dropped")
         for system in (sys, random_system(n, m, seed)):
             stages = one_mode_stages(system)
             verdicts = [is_passive(stage) for stage in stages]
@@ -442,8 +461,8 @@ class TestComputeOnce:
             alone_not_passive += not is_passive(fresh)
         assert alone_not_passive > 10
 
-    def test_validation_residuals_computed_once(self, monkeypatch):
-        computed = count_computations(monkeypatch, "_defects")
+    def test_validation_residuals_computed_once(self, count_computations):
+        computed = count_computations("_defects")
         sys = random_system(2, 2, 11)
         r = np.array(sys.r)
         r[0, 1] += 1e-6

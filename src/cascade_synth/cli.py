@@ -27,10 +27,15 @@ from .errors import (
     ResolventSingular,
     ScatteringMismatch,
 )
-from .model import DEFAULT_TOL, SlhSystem, build_state_space, is_passive, max_abs
+from .model import DEFAULT_TOL, build_state_space, is_passive
 from .passive import passive_realize
 from .realizability import decompose_cascade, is_cascade_realizable
-from .verification import certify_equivalence, ccr_preservation, transfer_function
+from .verification import (
+    _relative_mismatch,
+    ccr_preservation,
+    certify_equivalence,
+    transfer_function,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -105,15 +110,6 @@ def cmd_decompose(args) -> int:
     _write_out(args, document)
     _emit(document.to_dict())
     return EXIT_OK
-
-
-def _relative_mismatch(g: SlhSystem, ref: SlhSystem) -> float:
-    """Largest entrywise mismatch of S, K and R, each relative to the
-    max-norm of the reference matrix (absolute where that is zero)."""
-    return max(
-        max_abs(x - y) / (max_abs(y) or 1.0)
-        for x, y in ((g.s, ref.s), (g.k, ref.k), (g.r, ref.r))
-    )
 
 
 def cmd_passive_realize(args) -> int:

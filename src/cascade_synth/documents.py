@@ -27,6 +27,7 @@ from .model import (
     _readonly,
     _stages,
     from_passive_form,
+    stack_max,
 )
 
 SCHEMA_VERSION = "1"
@@ -55,6 +56,49 @@ def _encode(a) -> list:
     if np.iscomplexobj(a):
         return np.stack([a.real, a.imag], -1).tolist()
     return a.tolist()
+
+
+def _encode_stages(stages) -> list:
+    """JSON form of the stages: each of S, K and R encoded for all stages in
+    one stacked pass when the stages share its shape, else stage by stage."""
+    fields = [[getattr(st, name) for st in stages] for name in "skr"]
+    if all(len({a.shape for a in arrays}) == 1 for arrays in fields):
+        fields = [_encode(np.stack(arrays)) for arrays in fields]
+    else:
+        fields = [[_encode(a) for a in arrays] for arrays in fields]
+    return [{"S": s, "K": k, "R": r} for s, k, r in zip(*fields)]
+
+
+def _realified_pieces(v) -> Optional[list]:
+    """The canonical JSON text of the real 2n x 2n matrix V, in pieces to be
+    joined inside its outer brackets, when V is realify(U) bit for bit; None
+    for any other V.
+
+    Such a V holds each number of re = Re U = V[0::2, 0::2] and
+    im = Im U = V[1::2, 0::2] twice, as V[1::2, 1::2] = re and as
+    V[0::2, 1::2] = 0.0 - im.  So each is formatted once, and the repr of
+    0.0 - im is that of im with its sign toggled, or 0.0 for a zero of
+    either sign.  The test compares bits, so that a signed zero counts, and
+    never forms re + 1j * im, which turns a -0.0 real part into 0.0."""
+    re, im = v[0::2, 0::2], v[1::2, 0::2]
+    bits = v.view(np.uint64)
+    if not (
+        np.array_equal(bits[1::2, 1::2], bits[0::2, 0::2])
+        and np.array_equal(bits[0::2, 1::2], (0.0 - im).view(np.uint64))
+    ):
+        return None
+    pieces = []
+    cells = [""] * v.shape[1]
+    for re_row, im_row in zip(re.tolist(), im.tolist()):
+        re_text = list(map(float.__repr__, re_row))
+        im_text = list(map(float.__repr__, im_row))
+        cells[0::2] = re_text
+        cells[1::2] = [t[1:] if t[0] == "-" else t if t == "0.0" else "-" + t for t in im_text]
+        pieces += ("[", ",".join(cells), "],[")
+        cells[0::2], cells[1::2] = im_text, re_text
+        pieces += (",".join(cells), "]", ",")
+    del pieces[-1:]  # no comma after the last row
+    return pieces
 
 
 def _only(items, kinds) -> bool:
@@ -292,8 +336,10 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
     """Decode the stage objects of a realization document.  Each of S, K
     and R is converted and checked for all stages at once, with the field
     count of stage 0, and the stages are read-only views into those stacks
-    (model._stages); only when that fails are the stages decoded one by one,
-    each with its own field count, so that a fault is named at its stage."""
+    with their residuals measured in one pass (model._stages); each is still
+    judged passive at its own scale.  Only when that fails are the stages
+    decoded one by one, each with its own field count, so that a fault is
+    named at its stage."""
     for i, entry in enumerate(entries):
         path = f"$.stages[{i}]"
         _require(isinstance(entry, dict), "expected an object", path)
@@ -306,7 +352,8 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
         if all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
             # locked before the complex views are taken, which share their memory
             s, k = (_readonly(a).view(complex)[..., 0] for a in (s, k))
-            return _stages(s, k, r)
+            unitarity = stack_max(s.conj().swapaxes(1, 2) @ s - np.eye(m))
+            return _stages(s, k, r, unitarity.tolist())
     return tuple(_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries))
 
 
@@ -349,20 +396,22 @@ class RealizationDocument:
         """Rebuild the cascade chain (validating the chain invariants)."""
         return CascadeChain(stages=self.stages, residual_r=self.residual_r)
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """The JSON form of every field but V."""
         data = {
             "schema_version": self.schema_version,
             "input_digest": self.input_digest,
-            "stages": [
-                {"S": _encode(st.s), "K": _encode(st.k), "R": _encode(st.r)}
-                for st in self.stages
-            ],
+            "stages": _encode_stages(self.stages),
             "reports": dict(self.reports),
         }
-        if self.v is not None:
-            data["V"] = _encode(self.v)
         if self.residual_r is not None:
             data["residual_R"] = _encode(self.residual_r)
+        return data
+
+    def to_dict(self) -> dict:
+        data = self._fields()
+        if self.v is not None:
+            data["V"] = _encode(self.v)
         return data
 
     @classmethod
@@ -389,11 +438,18 @@ class RealizationDocument:
         )
 
     def dumps(self) -> str:
-        return canonical_json(self.to_dict())
+        """canonical_json(self.to_dict()), with V written from its complex
+        form when it has one (see _realified_pieces)."""
+        pieces = None if self.v is None else _realified_pieces(self.v)
+        if pieces is None:
+            return canonical_json(self.to_dict())
+        # "V" sorts before every other field
+        return "".join(['{"V":[', *pieces, "],", canonical_json(self._fields())[1:]])
 
     @classmethod
     def loads(cls, text) -> "RealizationDocument":
         return cls.from_dict(_parse_json(text))
 
     def digest(self) -> str:
-        return document_digest(self.to_dict())
+        """sha256 digest of the canonical encoding, dumps()."""
+        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()

@@ -281,43 +281,48 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _stages(s, k, r) -> tuple[SlhSystem, ...]:
+def _stages(s, k, r, unitarity) -> tuple[SlhSystem, ...]:
     """The one-mode systems (s[j], k[j], r[j]) of the stacks s (count, m, m)
     and k (count, m, 2) of complex and r (count, 2, 2) of real entries, which
     the caller made from checked values and holds alone.  The stacks are
-    locked here, and each stage's arrays are read-only views into them."""
+    locked here, and each stage's arrays are read-only views into them.
+
+    The residuals validate compares and what each stage drops on reduction
+    to annihilation variables, with its |K|_max and |R|_max, are measured in
+    one pass over the stacks; unitarity lists the stages' unitarity
+    residuals, which the caller knows or measures over s."""
     s, k, r = _readonly(s), _readonly(k), _readonly(r)
-    return tuple(_unchecked(SlhSystem, s=s[j], k=k[j], r=r[j]) for j in range(len(r)))
+    stages = tuple(_unchecked(SlhSystem, s=s[j], k=k[j], r=r[j]) for j in range(len(r)))
+    asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
+    dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))
+    for stage, u, a, d in zip(stages, unitarity, asymmetry, dropped):
+        stage.__dict__.update(_defects=(u, a), _dropped=d)
+    return stages
 
 
 def split_systems(sys: SlhSystem, k, r) -> tuple[SlhSystem, ...]:
     """The one-mode systems (S, k[0], r[0]), (I, k[1], r[1]), ... split from
     sys, for stacks k (n, m, 2) and r (n, 2, 2) of views of the arrays of
     sys.  The scatterings and the stacks are copied once, into private
-    arrays, and the stages are read-only views into them (see _stages); the
-    arrays of sys are finite, so nothing is checked again.
+    arrays, and the stages are read-only views into them, their structural
+    quantities measured in one pass (see _stages); the arrays of sys are
+    finite, so nothing is checked again.
 
-    The structural quantities of the stages are measured in one pass over
-    the stacks: what each drops on reduction to annihilation variables, with
-    its |K|_max and |R|_max, and its asymmetry |R - R^T|_max.  Stage 0's
-    unitarity residual is that of S, and the identity's is exactly 0.  Each
-    stage is judged passive at the scale sigma of sys.  What a stage drops is
-    part of what sys drops, so every stage of a passive system is passive, a
-    stage that is zero up to the rounding of sys included; judged at its own
-    scale, such a stage would fail.
+    Stage 0's unitarity residual is that of S, and the identity's is
+    exactly 0.  Each stage is judged passive at the scale sigma of sys.
+    What a stage drops is part of what sys drops, so every stage of a
+    passive system is passive, a stage that is zero up to the rounding of
+    sys included; judged at its own scale, such a stage would fail.
     """
     n, m = len(r), sys.m
     s = np.empty((n, m, m), dtype=complex)
     s[:] = np.eye(m)
     s[:1] = sys.s
-    k, r = np.array(k), np.array(r)
-    stages = _stages(s, k, r)
     sigma = _sigma(max_abs(sys.r), max_abs(sys.k))
-    unitarity = [sys._defects[0]] + [0.0] * (n - 1)
-    asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
-    dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))
-    for stage, u, a, d in zip(stages, unitarity, asymmetry, dropped):
-        stage.__dict__.update(_defects=(u, a), _dropped=d, _passivity=(d[0], d[1], sigma))
+    stages = _stages(s, np.array(k), np.array(r), [sys._defects[0]] + [0.0] * (n - 1))
+    for stage in stages:
+        k_defect, r_defect = stage._dropped[:2]
+        stage.__dict__["_passivity"] = (k_defect, r_defect, sigma)
     return stages
 
 

@@ -17,6 +17,7 @@ from .errors import OddDimension, ResolventSingular, ScatteringMismatch
 from .model import (
     DoubledStateSpace,
     SlhSystem,
+    _finite,
     build_state_space,
     max_abs,
     stack_max,
@@ -135,11 +136,14 @@ def _drift_max(sys: SlhSystem) -> float:
     """|A|_max of the drift A = 2 Theta (R + Im(K^dag K)): read from the
     drift when a triangularity test has formed it (Theta is a signed
     permutation and the factor 2 is exact, so it is the same number), else
-    computed without forming A."""
+    computed without forming A, and then OverflowError when it is not
+    finite, as SlhSystem._drift raises."""
     drift = sys.__dict__.get("_drift")
     if drift is not None:
         return drift[2]
-    return 2.0 * max_abs(sys.r + np.imag(sys.k.conj().T @ sys.k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 2.0 * max_abs(sys.r + np.imag(sys.k.conj().T @ sys.k))
+    return _finite(scale, "|A|_max of the drift")
 
 
 def _accepted_points(rng, n_samples, scale, spectrum) -> np.ndarray:
@@ -223,6 +227,15 @@ def certify_equivalence(
         tolerance=tol,
         seed=seed,
         vacuous=g.m == 0,
+    )
+
+
+def _relative_mismatch(g: SlhSystem, ref: SlhSystem) -> float:
+    """Largest entrywise mismatch of S, K and R, each relative to the
+    max-norm of the reference matrix (absolute where that is zero)."""
+    return max(
+        max_abs(x - y) / (max_abs(y) or 1.0)
+        for x, y in ((g.s, ref.s), (g.k, ref.k), (g.r, ref.r))
     )
 
 

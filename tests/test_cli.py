@@ -106,11 +106,26 @@ class TestCheck:
         code, payload = run_cli(capsys, command, write_doc(tmp_path, "empty.json", doc))
         assert code == 1 and payload["kind"] == "input"
 
-    @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize"])
-    def test_overflowing_scale_is_numeric(self, capsys, tmp_path, command):
-        # run_cli reads stdout as exactly one JSON object
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            pytest.param("check", (), id="check"),
+            pytest.param("decompose", (), id="decompose"),
+            pytest.param("passive-realize", (), id="passive-realize"),
+            pytest.param("tf", ("--points", "1+1j"), id="tf"),
+            pytest.param("verify", (None,), id="verify"),
+        ],
+    )
+    def test_overflowing_scale_is_numeric(self, capsys, tmp_path, command, extra):
         doc = SystemDocument.from_system(coupled_system(1e160))
-        code, payload = run_cli(capsys, command, write_doc(tmp_path, "overflow.json", doc))
+        path = write_doc(tmp_path, "overflow.json", doc)
+        # verify compares the document with itself
+        code = main([command, path, *(path if arg is None else arg for arg in extra)])
+        captured = capsys.readouterr()
+        # exactly one JSON object on stdout, and no warning on stderr (the
+        # test settings turn warnings into errors, as python -W error does)
+        payload = json.loads(captured.out)
+        assert captured.err == ""
         assert code == 4 and payload["kind"] == "numeric"
         assert "is not finite" in payload["error"]
 

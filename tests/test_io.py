@@ -5,12 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_synth import (
     BadResidual,
     CascadeChain,
     FieldCountMismatch,
     ParseError,
+    PassiveForm,
     RealizationDocument,
     SlhSystem,
     SystemDocument,
@@ -19,9 +22,12 @@ from cascade_synth import (
     document_digest,
     from_passive_form,
     max_abs,
+    one_mode_stages,
+    passive_realize,
 )
 from cascade_synth import model
-from cascade_synth.model import _as_matrix as as_matrix, is_hermitian
+from cascade_synth.documents import _realified_pieces
+from cascade_synth.model import _as_matrix as as_matrix, is_hermitian, realify
 from cascade_synth.sampling import (
     random_chain,
     random_passive_form,
@@ -40,6 +46,30 @@ FROZEN_DOC = SystemDocument.from_system(
     )
 )
 FROZEN_DIGEST = "63bc2b57eba10a46cbfbecb925e6c6a3e62887ceade98b26878eb3cd5aab6d46"
+
+# The stages of a fixed two-mode passive system, V = realify(U) for a fixed
+# unitary U with signed zeros in both parts, and a report.  Every number is
+# exact or written as given, so the bytes are the same on every platform;
+# the digest was recorded when dumps still encoded all of V.
+FROZEN_REALIZATION = RealizationDocument(
+    input_digest=FROZEN_DIGEST,
+    stages=one_mode_stages(
+        from_passive_form(
+            PassiveForm(
+                r_tilde=np.array([[1 / 3, 0.25 - 0.5j], [0.25 + 0.5j, -2.0]]),
+                k_tilde=np.array([[1.0, 0.5j]]),
+            ),
+            np.array([[1j]]),
+        )
+    ),
+    v=realify(
+        np.array(
+            [[complex(0.6, -0.0), complex(-0.0, 0.8)], [complex(0.0, -0.8), complex(-0.6, 0.0)]]
+        )
+    ),
+    reports={"stages_passive": True, "chain_residual": 0.0},
+)
+FROZEN_REALIZATION_DIGEST = "dace6db4fb6cad662c57e17b34c9f235f0f587761ccb8335269cbd6f93d306ff"
 
 
 def _set_cell(value):
@@ -532,6 +562,24 @@ class TestRealizationStages:
             assert stage._passivity == fresh._passivity
         assert loaded.to_chain().n == 4
 
+    def test_decoded_stages_arrive_measured(self, count_computations):
+        chain = random_chain(6, 3, 11)
+        stages = [
+            SlhSystem(s=random_unitary(3, j), k=stage.k, r=stage.r)
+            for j, stage in enumerate(chain.stages)
+        ]
+        text = RealizationDocument(input_digest="0", stages=stages).dumps()
+        defects, dropped = count_computations("_defects"), count_computations("_dropped")
+        loaded = RealizationDocument.loads(text)
+        assert loaded.to_chain().n == 6
+        assert defects == [] and dropped == []
+        # the same numbers as each stage measured on its own
+        for stage in loaded.stages:
+            fresh = SlhSystem(s=stage.s, k=stage.k, r=stage.r)
+            assert stage.__dict__["_defects"] == fresh._defects
+            assert stage.__dict__["_dropped"] == fresh._dropped
+            assert "_passivity" not in stage.__dict__
+
     def test_stages_match_cell_by_cell_decoder(self):
         data = self.data()
         doc = RealizationDocument.from_dict(data)
@@ -631,3 +679,124 @@ class TestCodecOracle:
         self.check_realization(
             RealizationDocument(input_digest="x", stages=(stage,), v=np.eye(2))
         )
+
+
+# One part of a complex number: a zero of either sign, a subnormal, a number
+# of magnitude 1e-300 to 1e300 of either sign, or an integral value.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+    st.integers(-(2**60), 2**60).map(float),
+)
+REPLACEMENTS = st.lists(st.tuples(st.integers(0, 24), st.booleans(), PARTS), max_size=20)
+
+
+def _replaced(u, replacements):
+    """A copy of the complex matrix u with each (cell, imaginary, value) of
+    replacements written into the real or imaginary part of its flat cell
+    cell % u.size.  The parts are written through a float view, never as
+    re + 1j * im, which would turn a -0.0 real part into 0.0."""
+    u = u.copy()
+    parts = u.view(float).reshape(-1, 2)
+    for cell, imaginary, value in replacements:
+        parts[cell % len(parts), int(imaginary)] = value
+    return u
+
+
+class TestRealifiedV:
+    """dumps writes V from U when V is realify(U) bit for bit, and every V
+    by the same bytes as canonical_json(to_dict())."""
+
+    @staticmethod
+    def document(v, n, seed):
+        rng = np.random.default_rng(seed)
+        return RealizationDocument(
+            input_digest="0" * 64,
+            stages=random_chain(n, 2, rng).stages,
+            v=v,
+            residual_r=rng.standard_normal((2 * n, 2 * n)) if seed % 2 else None,
+            reports={"seed": seed},
+        )
+
+    @staticmethod
+    def check(doc):
+        text = doc.dumps()
+        assert text == canonical_json(doc.to_dict())
+        assert text == ref.realization_json(doc)
+        assert doc.digest() == document_digest(doc.to_dict())
+        loaded = RealizationDocument.loads(text)
+        assert loaded.dumps() == text
+        if doc.v is not None:
+            assert_bits_equal(loaded.v, doc.v)
+
+    def test_frozen_digest(self):
+        assert _realified_pieces(FROZEN_REALIZATION.v) is not None
+        assert FROZEN_REALIZATION.digest() == FROZEN_REALIZATION_DIGEST
+        self.check(FROZEN_REALIZATION)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), replacements=REPLACEMENTS)
+    def test_realified_v(self, n, seed, replacements):
+        v = realify(_replaced(random_unitary(n, seed), replacements))
+        assert _realified_pieces(v) is not None
+        self.check(self.document(v, n, seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        replacements=REPLACEMENTS,
+        cell=st.integers(0, 99),
+    )
+    def test_v_with_one_cell_changed(self, n, seed, replacements, cell):
+        v = realify(_replaced(random_unitary(n, seed), replacements))
+        i, j = divmod(cell % v.size, v.shape[1])
+        was_zero = v[i, j] == 0.0
+        # a zero's sign flipped, any other number moved by one ulp
+        v[i, j] = -v[i, j] if was_zero else np.nextafter(v[i, j], np.inf)
+        # 0.0 - im is +0.0 for a zero im of either sign, so only the sign
+        # of a zero in V[1::2, 0::2] leaves V a realification
+        still = was_zero and i % 2 == 1 and j % 2 == 0
+        assert (_realified_pieces(v) is not None) == still
+        self.check(self.document(v, n, seed))
+
+    def test_cells_that_break_the_realification(self):
+        v = realify(random_unitary(3, 4))
+        off = v.copy()
+        off[2, 5] = np.nextafter(off[2, 5], np.inf)
+        # realify writes 0.0 - Im, never -0.0, in V[0::2, 1::2]
+        signed = realify(np.eye(3, dtype=complex))
+        signed[0, 3] = -0.0
+        for changed in (off, signed):
+            assert _realified_pieces(changed) is None
+            self.check(self.document(changed, 3, 1))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_documents_without_v(self, n):
+        self.check(self.document(None, n, n))
+        self.check(self.document(np.random.default_rng(n).standard_normal((2 * n, 2 * n)), n, n))
+
+    def test_empty_v(self):
+        doc = RealizationDocument(input_digest="x", stages=(), v=np.zeros((0, 0)))
+        assert doc.dumps() == canonical_json(doc.to_dict())
+        assert doc.dumps().startswith('{"V":[],')
+
+    def test_realized_v_round_trips_bit_for_bit(self):
+        system = from_passive_form(random_passive_form(16, 3, 7), random_unitary(3, 8))
+        realization = passive_realize(system)
+        doc = RealizationDocument(
+            input_digest="0" * 64, stages=realization.chain.stages, v=realization.transform.v
+        )
+        assert _realified_pieces(doc.v) is not None
+        self.check(doc)
+        assert_bits_equal(RealizationDocument.loads(doc.dumps()).v, realization.transform.v)
+
+    def test_stages_of_mixed_shapes_encode_one_by_one(self):
+        data = TestRealizationStages.data()
+        _three_fields(data["stages"][3])
+        data["stages"][3]["K"].append([[0.5, 0.0], [0.0, 0.5]])
+        doc = RealizationDocument.from_dict(data)
+        assert doc.to_dict() == data
+        self.check(doc)

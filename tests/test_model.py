@@ -14,6 +14,7 @@ from cascade_synth import (
     PassiveForm,
     SlhSystem,
     build_state_space,
+    certify_equivalence,
     drift_matrix,
     from_passive_form,
     is_cascade_realizable,
@@ -301,6 +302,9 @@ class TestNonFiniteScale:
         for judge in (is_cascade_realizable, build_state_space):
             with pytest.raises(OverflowError, match="drift is not finite"):
                 judge(sys)
+        # certification's sample scale, measured without forming the drift
+        with pytest.raises(OverflowError, match="drift is not finite"):
+            certify_equivalence(sys, coupled_system(1e160))
 
     def test_overflowing_sigma_raises(self):
         sys = coupled_system(1e160)

@@ -19,7 +19,6 @@ from .documents import (
     RealizationDocument,
     SystemDocument,
     canonical_json,
-    document_digest,
 )
 from .errors import (
     BadResidual,
@@ -110,7 +109,6 @@ __all__ = [
     "certify_equivalence",
     "certify_symplectic",
     "decompose_cascade",
-    "document_digest",
     "drift_matrix",
     "from_passive_form",
     "is_cascade_realizable",

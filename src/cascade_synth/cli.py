@@ -1,6 +1,7 @@
 """Command-line surface: check, decompose, passive-realize, tf, verify.
 
-Every invocation writes exactly one JSON object to stdout and exits with
+Every invocation writes exactly one canonical JSON object to stdout (for
+decompose and passive-realize, the bytes --out writes) and exits with
 0 (ok), 1 (input error), 2 (negative verdict), 3 (precondition violated), or
 4 (numeric failure), so shell pipelines can branch on the result.  The
 default tolerance is 1e-9, overridable per call with --tol and globally with
@@ -10,14 +11,13 @@ the CASCADE_SYNTH_TOL environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from .composition import cascade
-from .documents import RealizationDocument, SystemDocument, _encode
+from .documents import RealizationDocument, SystemDocument, _encode, canonical_json
 from .errors import (
     CascadeSynthError,
     ConvergenceFailure,
@@ -48,7 +48,7 @@ EQUIVALENCE_SAMPLES = 20
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(canonical_json(obj))
 
 
 def _resolve_tol(args, fallback=DEFAULT_TOL) -> float:
@@ -72,9 +72,12 @@ def _load_document(path) -> SystemDocument:
     return SystemDocument.loads(text)
 
 
-def _write_out(args, document: RealizationDocument) -> None:
+def _emit_document(args, document: RealizationDocument) -> None:
+    """Print dumps(), and write the same bytes to --out when it is given."""
+    text = document.dumps() + "\n"
     if args.out is not None:
-        Path(args.out).write_text(document.dumps() + "\n")
+        Path(args.out).write_text(text)
+    print(text, end="")
 
 
 def cmd_check(args) -> int:
@@ -107,8 +110,7 @@ def cmd_decompose(args) -> int:
         stages=chain.stages,
         reports={"triangularity": asdict(report)},
     )
-    _write_out(args, document)
-    _emit(document.to_dict())
+    _emit_document(args, document)
     return EXIT_OK
 
 
@@ -149,8 +151,7 @@ def cmd_passive_realize(args) -> int:
             "chain_residual": chain_residual,
         },
     )
-    _write_out(args, document)
-    _emit(document.to_dict())
+    _emit_document(args, document)
     certified = (
         triangularity.is_triangular
         and symplectic_residual <= tol
@@ -202,7 +203,7 @@ class _Parser(argparse.ArgumentParser):
     # bad flags are input errors (exit 1); exit 2 is reserved for verdicts
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(json.dumps({"error": message}), file=sys.stdout)
+        _emit({"error": message})
         raise SystemExit(EXIT_INPUT)
 
 

@@ -17,7 +17,7 @@ from typing import Any, Mapping, NoReturn, Optional
 import numpy as np
 
 from .composition import CascadeChain
-from .errors import NonHermitianRtilde, ParseError
+from .errors import BadResidual, CascadeSynthError, NonHermitianRtilde, ParseError
 from .model import (
     ComplexMatrix,
     PassiveForm,
@@ -40,11 +40,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def document_digest(data: Mapping) -> str:
-    """sha256 hex digest of the canonical JSON encoding."""
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
-
-
 def _require(cond, message, path):
     if not cond:
         raise ParseError(message, path)
@@ -59,13 +54,9 @@ def _encode(a) -> list:
 
 
 def _encode_stages(stages) -> list:
-    """JSON form of the stages: each of S, K and R encoded for all stages in
-    one stacked pass when the stages share its shape, else stage by stage."""
-    fields = [[getattr(st, name) for st in stages] for name in "skr"]
-    if all(len({a.shape for a in arrays}) == 1 for arrays in fields):
-        fields = [_encode(np.stack(arrays)) for arrays in fields]
-    else:
-        fields = [[_encode(a) for a in arrays] for arrays in fields]
+    """JSON form of the stages of a chain, which share their shapes: each of
+    S, K and R encoded for all stages in one stacked pass."""
+    fields = [_encode(np.stack([getattr(st, name) for st in stages])) for name in "skr"]
     return [{"S": s, "K": k, "R": r} for s, k, r in zip(*fields)]
 
 
@@ -317,44 +308,44 @@ class SystemDocument:
         return cls.from_dict(_parse_json(text))
 
     def digest(self) -> str:
-        """sha256 digest of the canonical encoding, used to tie realization
-        documents back to their input."""
-        return document_digest(self.to_dict())
-
-
-def _decode_stage(entry, path) -> SlhSystem:
-    _require(isinstance(entry["S"], list), "expected an array of rows", f"{path}.S")
-    m = len(entry["S"])
-    return SlhSystem(
-        s=_decode(entry["S"], m, m, f"{path}.S", True),
-        k=_decode(entry["K"], m, 2, f"{path}.K", True),
-        r=_decode(entry["R"], 2, 2, f"{path}.R", False),
-    )
+        """sha256 digest of the canonical encoding, dumps(), used to tie
+        realization documents back to their input."""
+        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
 
 
 def _decode_stages(entries) -> tuple[SlhSystem, ...]:
-    """Decode the stage objects of a realization document.  Each of S, K
-    and R is converted and checked for all stages at once, with the field
-    count of stage 0, and the stages are read-only views into those stacks
-    with their residuals measured in one pass (model._stages); each is still
-    judged passive at its own scale.  Only when that fails are the stages
-    decoded one by one, each with its own field count, so that a fault is
-    named at its stage."""
+    """Decode the stage objects of a realization document, every stage at
+    the field count m of stage 0.  Each of S, K and R is converted and
+    checked for all stages at once, and the stages are read-only views into
+    those stacks with their residuals measured in one pass (model._stages);
+    each is still judged passive at its own scale.  Stages that fail the
+    checks are walked by _locate_stages to name the fault."""
     for i, entry in enumerate(entries):
         path = f"$.stages[{i}]"
         _require(isinstance(entry, dict), "expected an object", path)
         _require(set(entry) == {"S", "K", "R"}, "expected fields S, K, R", path)
     first = entries[0]["S"]
-    if isinstance(first, list):
-        count, m = len(entries), len(first)
-        shapes = {"S": (count, m, m, 2), "K": (count, m, 2, 2), "R": (count, 2, 2)}
-        s, k, r = (_convert([entry[key] for entry in entries], shapes[key]) for key in "SKR")
-        if all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
-            # locked before the complex views are taken, which share their memory
-            s, k = (_readonly(a).view(complex)[..., 0] for a in (s, k))
-            unitarity = stack_max(s.conj().swapaxes(1, 2) @ s - np.eye(m))
-            return _stages(s, k, r, unitarity.tolist())
-    return tuple(_decode_stage(entry, f"$.stages[{i}]") for i, entry in enumerate(entries))
+    _require(isinstance(first, list), "expected an array of rows", "$.stages[0].S")
+    count, m = len(entries), len(first)
+    shapes = {"S": (count, m, m, 2), "K": (count, m, 2, 2), "R": (count, 2, 2)}
+    s, k, r = (_convert([entry[key] for entry in entries], shapes[key]) for key in "SKR")
+    if not all(a is not None and np.isfinite(a).all() for a in (s, k, r)):
+        _locate_stages(entries, m)
+    # locked before the complex views are taken, which share their memory
+    s, k = (_readonly(a).view(complex)[..., 0] for a in (s, k))
+    unitarity = stack_max(s.conj().swapaxes(1, 2) @ s - np.eye(m))
+    return _stages(s, k, r, unitarity.tolist())
+
+
+def _locate_stages(entries, m) -> NoReturn:
+    """Raise the ParseError that names the first fault of the stages
+    _decode_stages rejected, stage by stage in the order S, K, R, each
+    matrix decoded on its own at the field count m (see _decode)."""
+    shapes = {"S": (m, m), "K": (m, 2), "R": (2, 2)}
+    for i, entry in enumerate(entries):
+        for key, (rows, cols) in shapes.items():
+            _decode(entry[key], rows, cols, f"$.stages[{i}].{key}", key != "R")
+    raise AssertionError("stages that decode one by one decode stacked")
 
 
 _REALIZATION_FIELDS = {"schema_version", "input_digest", "stages", "V", "residual_R", "reports"}
@@ -365,7 +356,9 @@ class RealizationDocument:
     """Serializable result of a decomposition or passive-realization run:
     the one-mode stages (input end first), the symplectic transform when one
     was constructed, the residual interaction when one is needed, and the
-    numerical reports of every certification that ran."""
+    numerical reports of every certification that ran.  The stages and the
+    residual form one CascadeChain, built and checked on construction; the
+    document keeps the chain's arrays, and to_chain returns that chain."""
 
     input_digest: str
     stages: tuple[SlhSystem, ...]
@@ -373,19 +366,21 @@ class RealizationDocument:
     residual_r: Optional[RealMatrix] = None
     reports: Mapping[str, Any] = field(default_factory=dict)
     schema_version: str = SCHEMA_VERSION
+    _chain: CascadeChain = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
         if not isinstance(self.input_digest, str):
             raise ValueError("input_digest must be a string")
-        nn = 2 * len(self.stages)
-        for name, label in (("v", "V"), ("residual_r", "residual_R")):
-            value = getattr(self, name)
-            if value is not None:
-                a = _as_real(value, label)
-                if a.shape != (nn, nn):
-                    raise ValueError(f"{label} must be {nn} x {nn}, got {a.shape}")
-                object.__setattr__(self, name, a)
+        chain = CascadeChain(stages=self.stages, residual_r=self.residual_r)
+        object.__setattr__(self, "stages", chain.stages)
+        object.__setattr__(self, "residual_r", chain.residual_r)
+        object.__setattr__(self, "_chain", chain)
+        if self.v is not None:
+            v = _as_real(self.v, "V")
+            nn = 2 * chain.n
+            if v.shape != (nn, nn):
+                raise ValueError(f"V must be {nn} x {nn}, got {v.shape}")
+            object.__setattr__(self, "v", v)
         object.__setattr__(self, "reports", dict(self.reports))
 
     @property
@@ -393,8 +388,9 @@ class RealizationDocument:
         return len(self.stages)
 
     def to_chain(self) -> CascadeChain:
-        """Rebuild the cascade chain (validating the chain invariants)."""
-        return CascadeChain(stages=self.stages, residual_r=self.residual_r)
+        """The cascade chain of the stages and the residual, built and
+        checked once, on construction."""
+        return self._chain
 
     def _fields(self) -> dict:
         """The JSON form of every field but V."""
@@ -422,20 +418,24 @@ class RealizationDocument:
         _require(len(data["stages"]) > 0, "expected at least one stage", "$.stages")
         stages = _decode_stages(data["stages"])
         nn = 2 * len(stages)
-        v = None
-        if "V" in data:
-            v = _decode(data["V"], nn, nn, "$.V", False)
-        residual = None
-        if "residual_R" in data:
-            residual = _decode(data["residual_R"], nn, nn, "$.residual_R", False)
-        _require(isinstance(data["reports"], dict), "expected an object", "$.reports")
-        return cls(
-            input_digest=data["input_digest"],
-            stages=stages,
-            v=v,
-            residual_r=residual,
-            reports=data["reports"],
+        v, residual = (
+            _decode(data[key], nn, nn, f"$.{key}", False) if key in data else None
+            for key in ("V", "residual_R")
         )
+        _require(isinstance(data["reports"], dict), "expected an object", "$.reports")
+        # the chain checks each stage (SlhSystem.validate), then the residual
+        try:
+            return cls(
+                input_digest=data["input_digest"],
+                stages=stages,
+                v=v,
+                residual_r=residual,
+                reports=data["reports"],
+            )
+        except BadResidual as exc:
+            raise ParseError(str(exc), "$.residual_R") from None
+        except CascadeSynthError as exc:
+            raise ParseError(str(exc), "$.stages") from None
 
     def dumps(self) -> str:
         """canonical_json(self.to_dict()), with V written from its complex

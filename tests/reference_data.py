@@ -11,6 +11,7 @@ system and the concatenation product are test helpers: the package itself
 never needs them.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -114,6 +115,12 @@ def realization_json(doc):
 
 def canonical_json(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def document_digest(data):
+    """sha256 hex digest of the canonical JSON of data: the oracle of the
+    documents' digest()."""
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 def identity_system(m):

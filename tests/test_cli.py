@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: payloads, exit codes, files, environment."""
 
+import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from cascade_synth import (
     SlhSystem,
     SystemDocument,
     build_state_space,
+    canonical_json,
     cascade,
     max_abs,
     passive_realize,
@@ -272,6 +275,41 @@ class TestPassiveRealize:
         assert code == 2
         assert reports["equivalence"]["verdict"] is equivalent
         assert reports["chain_residual"] > 1e-9
+
+
+class TestStdout:
+    """stdout is one line of canonical JSON, and a realization command
+    prints exactly the bytes it writes to --out."""
+
+    @pytest.mark.parametrize("command", ["decompose", "passive-realize"])
+    def test_realization_stdout_is_the_out_file(
+        self, capsys, tmp_path, cascade_doc, reference_doc, command
+    ):
+        path = cascade_doc[0] if command == "decompose" else reference_doc[0]
+        out = tmp_path / "out.json"
+        assert main([command, path, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode("utf-8") == out.read_bytes()
+        digest = hashlib.sha256(stdout.removesuffix("\n").encode("utf-8")).hexdigest()
+        assert digest == RealizationDocument.loads(stdout).digest()
+
+    def test_every_payload_is_one_canonical_line(
+        self, capsys, tmp_path, cascade_doc, reference_doc
+    ):
+        path, _, _ = cascade_doc
+        passive_path, _ = reference_doc
+        for argv in (
+            ["check", path],
+            ["decompose", passive_path],
+            ["tf", path, "--points", "1+2j,0.5"],
+            ["verify", path, path],
+            ["check", str(tmp_path / "absent.json")],
+            ["frobnicate"],
+        ):
+            with contextlib.suppress(SystemExit):  # argparse exits on a bad command
+                main(argv)
+            out = capsys.readouterr().out
+            assert out == canonical_json(json.loads(out)) + "\n"
 
 
 class TestTf:

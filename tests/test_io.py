@@ -2,6 +2,7 @@
 
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from cascade_synth import (
     BadResidual,
     CascadeChain,
     FieldCountMismatch,
+    NonSymmetricR,
+    NonUnitaryScattering,
     ParseError,
     PassiveForm,
     RealizationDocument,
@@ -19,11 +22,11 @@ from cascade_synth import (
     SystemDocument,
     canonical_json,
     cascade,
-    document_digest,
     from_passive_form,
     max_abs,
     one_mode_stages,
     passive_realize,
+    residual_interaction,
 )
 from cascade_synth import model
 from cascade_synth.documents import _realified_pieces
@@ -129,9 +132,10 @@ def _set(field, *index, value):
 
 
 # A change to one stage of a five-stage, two-field realization document, and
-# the ParseError path and message the stage-by-stage decoder gave for it.
+# the ParseError path and message for it: every stage is read at the field
+# count of stage 0, and a fault is named at its stage.
 MALFORMED_STAGES = [
-    pytest.param(3, _three_fields, "$.stages[3].K", "expected 3 rows, got 2", id="m-changes"),
+    pytest.param(3, _three_fields, "$.stages[3].S", "expected 2 rows, got 3", id="m-changes"),
     pytest.param(
         2, _set("K", 1, 0, value=True), "$.stages[2].K[1][0]", "expected a [re, im] pair",
         id="K-true",
@@ -179,9 +183,10 @@ class TestCanonicalJson:
     def test_digest_is_sha256_of_canonical_text(self):
         import hashlib
 
-        data = {"a": 1}
-        expected = hashlib.sha256(b'{"a":1}').hexdigest()
-        assert document_digest(data) == expected
+        assert ref.document_digest({"a": 1}) == hashlib.sha256(b'{"a":1}').hexdigest()
+        for doc in (FROZEN_DOC, FROZEN_REALIZATION):
+            expected = hashlib.sha256(doc.dumps().encode("utf-8")).hexdigest()
+            assert doc.digest() == expected == ref.document_digest(doc.to_dict())
 
 
 class TestSystemDocument:
@@ -422,14 +427,15 @@ class TestRealizationDocument:
             assert np.array_equal(stage.k, original.k)
 
     def test_to_chain_validates_residual(self):
-        doc = self.build(with_optional=False)
-        bad = RealizationDocument(
-            input_digest=doc.input_digest,
-            stages=doc.stages,
-            residual_r=np.eye(6),
-        )
+        # the chain checks the residual when the document is built
+        doc = self.build()
+        assert doc.to_chain().residual_r is doc.residual_r
         with pytest.raises(BadResidual):
-            bad.to_chain()
+            RealizationDocument(
+                input_digest=doc.input_digest,
+                stages=doc.stages,
+                residual_r=np.eye(6),
+            )
 
     def parse(self, mutate):
         data = json.loads(self.build().dumps())
@@ -473,45 +479,50 @@ def _two_stage_chain(residual_r):
 _COUPLING = np.zeros((4, 4))
 _COUPLING[0, 2] = _COUPLING[2, 0] = 1.0
 
-# An array given to a document or a chain, and the ValueError that rejects it.
+# An array given to a document or a chain, and the error that rejects it.
 UNCHECKED_ARRAYS = [
     pytest.param(
-        lambda: _one_stage_document(v=np.eye(2) * (1 + 1j)), "V must be real", id="V-complex"
+        lambda: _one_stage_document(v=np.eye(2) * (1 + 1j)), ValueError, "V must be real",
+        id="V-complex",
     ),
     pytest.param(
-        lambda: _one_stage_document(v=np.full((2, 2), np.nan)), "V contains non-finite",
-        id="V-nan",
-    ),
-    pytest.param(lambda: _one_stage_document(v=np.ones(4)), "V must be a 2-d", id="V-1d"),
-    pytest.param(lambda: _one_stage_document(v=np.eye(4)), "V must be 2 x 2", id="V-4x4"),
-    pytest.param(
-        lambda: _one_stage_document(residual_r=1j * np.eye(2)), "residual_R must be real",
-        id="residual-complex",
+        lambda: _one_stage_document(v=np.full((2, 2), np.nan)), ValueError,
+        "V contains non-finite", id="V-nan",
     ),
     pytest.param(
-        lambda: _one_stage_document(residual_r=np.full((2, 2), np.inf)),
+        lambda: _one_stage_document(v=np.ones(4)), ValueError, "V must be a 2-d", id="V-1d"
+    ),
+    pytest.param(
+        lambda: _one_stage_document(v=np.eye(4)), ValueError, "V must be 2 x 2", id="V-4x4"
+    ),
+    pytest.param(
+        lambda: _one_stage_document(residual_r=1j * np.eye(2)), ValueError,
+        "residual_R must be real", id="residual-complex",
+    ),
+    pytest.param(
+        lambda: _one_stage_document(residual_r=np.full((2, 2), np.inf)), ValueError,
         "residual_R contains non-finite", id="residual-inf",
     ),
     pytest.param(
-        lambda: _one_stage_document(residual_r=np.zeros((4, 4))), "residual_R must be 2 x 2",
-        id="residual-4x4",
+        lambda: _one_stage_document(residual_r=np.zeros((4, 4))), BadResidual,
+        "residual must be 2 x 2", id="residual-4x4",
     ),
     pytest.param(
         lambda: SystemDocument(
             form="general", s=np.eye(1), k=np.zeros((1, 2)), r=np.eye(2) * (1 + 1j)
         ),
-        "R must be real", id="system-R-complex",
+        ValueError, "R must be real", id="system-R-complex",
     ),
     pytest.param(
-        lambda: _two_stage_chain(_COUPLING * (1 + 1j)), "residual_R must be real",
+        lambda: _two_stage_chain(_COUPLING * (1 + 1j)), ValueError, "residual_R must be real",
         id="chain-residual-complex",
     ),
 ]
 
 
-@pytest.mark.parametrize("build, message", UNCHECKED_ARRAYS)
-def test_rejects_unchecked_array(build, message):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("build, error, message", UNCHECKED_ARRAYS)
+def test_rejects_unchecked_array(build, error, message):
+    with pytest.raises(error, match=message):
         build()
 
 
@@ -534,14 +545,11 @@ class TestRealizationStages:
         assert str(exc.value) == f"{path}: {message}"
 
     def test_field_count_change_is_found_by_the_chain(self):
-        data = self.data()
-        stage = data["stages"][3]
-        _three_fields(stage)
-        stage["K"].append([[0.5, 0.0], [0.0, 0.5]])
-        doc = RealizationDocument.from_dict(data)
-        assert [st.m for st in doc.stages] == [2, 2, 2, 3, 2]
-        with pytest.raises(FieldCountMismatch):
-            doc.to_chain()
+        # stages of mixed field counts form no chain, so no document
+        stages = list(random_chain(5, 2, 8).stages)
+        stages[3] = random_system(1, 3, 8)
+        with pytest.raises(FieldCountMismatch, match="stage 3 has 3 fields, stage 0 has 2"):
+            RealizationDocument(input_digest="0", stages=stages)
 
     def test_decoded_stages_are_read_only_views_of_their_own(self):
         chain = random_chain(4, 3, 9)
@@ -591,6 +599,160 @@ class TestRealizationStages:
                 stage.r[0, 0] = 1.0
 
 
+def _stages_with(index, stage):
+    """The stages of a three-stage, two-field chain with stage index
+    replaced."""
+    stages = list(random_chain(3, 2, 21).stages)
+    stages[index] = stage
+    return stages
+
+
+def _bent_stage(s_factor, r_shift):
+    """A one-mode, two-field stage with S scaled by s_factor and r_shift
+    added to R[0, 1] alone."""
+    stage = random_system(1, 2, 1)
+    return SlhSystem(s=s_factor * stage.s, k=stage.k, r=stage.r + [[0, r_shift], [0, 0]])
+
+
+def _bent_residual(*cells):
+    """A valid three-mode residual with 1 added to each of cells."""
+    residual = np.array(residual_interaction(random_system(3, 2, 22)))
+    for cell in cells:
+        residual[cell] += 1.0
+    return residual
+
+
+# Stages and a residual that form no chain; the error the document's
+# constructor raises for them; and the ParseError path and message that
+# loads gives for their cell-by-cell encoding.
+INVALID_CHAINS = [
+    pytest.param(
+        lambda: (_stages_with(0, random_system(2, 2, 1)), None),
+        ValueError, "stage 0 has 2 modes, expected 1",
+        "$.stages[0].K[0]", "expected 2 columns, got 4", id="two-mode-stage",
+    ),
+    pytest.param(
+        lambda: ((), None),
+        ValueError, "a chain needs at least one stage",
+        "$.stages", "expected at least one stage", id="no-stages",
+    ),
+    pytest.param(
+        lambda: (_stages_with(2, random_system(1, 3, 1)), None),
+        FieldCountMismatch, "stage 2 has 3 fields, stage 0 has 2",
+        "$.stages[2].S", "expected 2 rows, got 3", id="mixed-field-counts",
+    ),
+    pytest.param(
+        lambda: (_stages_with(1, _bent_stage(2.0, 0.0)), None),
+        NonUnitaryScattering, "stage 1: S fails unitarity at tolerance 1.0e-09",
+        "$.stages", "stage 1: S fails unitarity at tolerance 1.0e-09", id="non-unitary-S",
+    ),
+    pytest.param(
+        lambda: (_stages_with(2, _bent_stage(1.0, 1.0)), None),
+        NonSymmetricR, "stage 2: R fails symmetry at relative tolerance 1.0e-09",
+        "$.stages", "stage 2: R fails symmetry at relative tolerance 1.0e-09", id="asymmetric-R",
+    ),
+    pytest.param(
+        lambda: (random_chain(3, 2, 21).stages, _bent_residual((0, 4))),
+        BadResidual, "residual matrix must be symmetric",
+        "$.residual_R", "residual matrix must be symmetric", id="asymmetric-residual",
+    ),
+    pytest.param(
+        lambda: (random_chain(3, 2, 21).stages, _bent_residual((2, 3), (3, 2))),
+        BadResidual, "residual diagonal block 1 must be zero",
+        "$.residual_R", "residual diagonal block 1 must be zero", id="diagonal-block-residual",
+    ),
+]
+
+
+class TestRealizationChain:
+    """A realization document holds one checked CascadeChain: what does not
+    form a chain is neither built nor read."""
+
+    @pytest.mark.parametrize("make, error, message, path, parse_message", INVALID_CHAINS)
+    def test_construction_rejects(self, make, error, message, path, parse_message):
+        stages, residual = make()
+        with pytest.raises(error) as exc:
+            RealizationDocument(input_digest="0", stages=stages, residual_r=residual)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("make, error, message, path, parse_message", INVALID_CHAINS)
+    def test_loads_rejects(self, make, error, message, path, parse_message):
+        stages, residual = make()
+        # no document can hold them, so the oracle encoder writes their JSON
+        doc = SimpleNamespace(
+            input_digest="0", stages=stages, v=None, residual_r=residual, reports={}
+        )
+        with pytest.raises(ParseError) as exc:
+            RealizationDocument.loads(ref.realization_json(doc))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {parse_message}"
+
+    def test_to_chain_is_the_checked_chain(self, monkeypatch):
+        stages = random_chain(4, 2, 23).stages
+        residual = residual_interaction(random_system(4, 2, 24))
+        built, validated = [], []
+        check_chain, validate = CascadeChain.__post_init__, SlhSystem.validate
+
+        def recording_chain(chain):
+            built.append(chain)
+            check_chain(chain)
+
+        def recording_validate(system, *tols):
+            validated.append(system)
+            return validate(system, *tols)
+
+        monkeypatch.setattr(CascadeChain, "__post_init__", recording_chain)
+        monkeypatch.setattr(SlhSystem, "validate", recording_validate)
+        doc = RealizationDocument(input_digest="0", stages=stages, residual_r=residual)
+        assert len(built) == 1 and len(validated) == 4
+        chain = doc.to_chain()
+        assert chain is built[0] and doc.to_chain() is chain
+        assert doc.stages is chain.stages and doc.residual_r is chain.residual_r
+        text = doc.dumps()
+        loaded = RealizationDocument.loads(text)
+        assert len(built) == 2 and len(validated) == 8
+        assert loaded.to_chain() is built[1] and loaded.dumps() == text
+        assert len(built) == 2 and len(validated) == 8
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        with_v=st.booleans(),
+        with_residual=st.booleans(),
+        odd_stage=st.sampled_from([None, None, (2, 0), (1, 1)]),
+    )
+    def test_every_document_round_trips(self, n, m, seed, with_v, with_residual, odd_stage):
+        # odd_stage, when drawn, replaces a random stage by one with that
+        # many modes and that many more fields, which most often is no chain
+        rng = np.random.default_rng(seed)
+        stages = list(random_chain(n, m, rng).stages)
+        if odd_stage is not None:
+            modes, more_fields = odd_stage
+            stages[rng.integers(n)] = random_system(modes, m + more_fields, rng)
+        v = random_symplectic_orthogonal(n, rng) if with_v else None
+        residual = residual_interaction(random_system(n, m, rng)) if with_residual else None
+        try:
+            doc = RealizationDocument(
+                input_digest="0" * 64, stages=stages, v=v, residual_r=residual, reports={}
+            )
+        except (ValueError, FieldCountMismatch):
+            assert odd_stage is not None
+            return
+        text = doc.dumps()
+        loaded = RealizationDocument.loads(text)
+        assert loaded.dumps() == text and loaded.digest() == doc.digest()
+        for stage, original in zip(loaded.stages, doc.stages, strict=True):
+            for name in ("s", "k", "r"):
+                assert_bits_equal(getattr(stage, name), getattr(original, name))
+        for name in ("v", "residual_r"):
+            if getattr(doc, name) is None:
+                assert getattr(loaded, name) is None
+            else:
+                assert_bits_equal(getattr(loaded, name), getattr(doc, name))
+
+
 class TestCodecOracle:
     """Documents against the cell-by-cell encoders and decoders in
     reference_data: the same bytes out, the same bits back."""
@@ -629,7 +791,7 @@ class TestCodecOracle:
             input_digest="0" * 64,
             stages=random_chain(n, m, rng).stages,
             v=random_symplectic_orthogonal(n, rng),
-            residual_r=rng.standard_normal((2 * n, 2 * n)) if seed % 2 else None,
+            residual_r=residual_interaction(random_system(n, m, rng)) if seed % 2 else None,
             reports={"seed": seed},
         )
         self.check_realization(doc)
@@ -716,7 +878,7 @@ class TestRealifiedV:
             input_digest="0" * 64,
             stages=random_chain(n, 2, rng).stages,
             v=v,
-            residual_r=rng.standard_normal((2 * n, 2 * n)) if seed % 2 else None,
+            residual_r=residual_interaction(random_system(n, 2, rng)) if seed % 2 else None,
             reports={"seed": seed},
         )
 
@@ -725,7 +887,7 @@ class TestRealifiedV:
         text = doc.dumps()
         assert text == canonical_json(doc.to_dict())
         assert text == ref.realization_json(doc)
-        assert doc.digest() == document_digest(doc.to_dict())
+        assert doc.digest() == ref.document_digest(doc.to_dict())
         loaded = RealizationDocument.loads(text)
         assert loaded.dumps() == text
         if doc.v is not None:
@@ -779,9 +941,9 @@ class TestRealifiedV:
         self.check(self.document(np.random.default_rng(n).standard_normal((2 * n, 2 * n)), n, n))
 
     def test_empty_v(self):
-        doc = RealizationDocument(input_digest="x", stages=(), v=np.zeros((0, 0)))
-        assert doc.dumps() == canonical_json(doc.to_dict())
-        assert doc.dumps().startswith('{"V":[],')
+        # an empty V belongs to a document with no stages, which is no chain
+        with pytest.raises(ValueError, match="a chain needs at least one stage"):
+            RealizationDocument(input_digest="x", stages=(), v=np.zeros((0, 0)))
 
     def test_realized_v_round_trips_bit_for_bit(self):
         system = from_passive_form(random_passive_form(16, 3, 7), random_unitary(3, 8))
@@ -793,10 +955,11 @@ class TestRealifiedV:
         self.check(doc)
         assert_bits_equal(RealizationDocument.loads(doc.dumps()).v, realization.transform.v)
 
-    def test_stages_of_mixed_shapes_encode_one_by_one(self):
+    def test_stages_of_mixed_shapes_never_reach_the_encoder(self):
+        # read at the field count of stage 0, they are no document to encode
         data = TestRealizationStages.data()
         _three_fields(data["stages"][3])
         data["stages"][3]["K"].append([[0.5, 0.0], [0.0, 0.5]])
-        doc = RealizationDocument.from_dict(data)
-        assert doc.to_dict() == data
-        self.check(doc)
+        with pytest.raises(ParseError) as exc:
+            RealizationDocument.from_dict(data)
+        assert str(exc.value) == "$.stages[3].S: expected 2 rows, got 3"

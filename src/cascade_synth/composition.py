@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadResidual, FieldCountMismatch, NonSymmetricR, NonUnitaryScattering
-from .model import RealMatrix, SlhSystem, _as_real, pair_blocks, split_systems
+from .errors import BadResidual, FieldCountMismatch
+from .model import RealMatrix, SlhSystem, _as_real, _sigma, _stages, max_abs, pair_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +25,9 @@ class CascadeChain:
     residual_r, when present, is a real symmetric 2n x 2n matrix with zero
     2x2 diagonal blocks that couples distinct stages directly (a bilinear
     interaction on top of the field-mediated cascade).  Each stage, lowest
-    first, must have one mode and the field count of stage 0 and pass
-    SlhSystem.validate, which compares its cached residuals; cascade relies
-    on unitary stage scatterings.
+    first, must have one mode and the field count of stage 0.  A stage is an
+    SlhSystem, checked when it was made, so its scattering is unitary, as
+    cascade relies on, and nothing about it is measured here.
     """
 
     stages: tuple[SlhSystem, ...]
@@ -44,10 +44,6 @@ class CascadeChain:
                 raise FieldCountMismatch(
                     f"stage {j} has {stage.m} fields, stage 0 has {stages[0].m}"
                 )
-            try:
-                stage.validate()
-            except (NonUnitaryScattering, NonSymmetricR) as exc:
-                raise type(exc)(f"stage {j}: {exc}") from None
         object.__setattr__(self, "stages", stages)
         if self.residual_r is not None:
             rd = _as_real(self.residual_r, "residual_R")
@@ -118,8 +114,8 @@ def cascade(chain: CascadeChain) -> SlhSystem:
     the stage scatterings, column pair j of K is the stage coupling
     premultiplied by D_j = S_{n-1} ... S_{j+1}, the diagonal blocks of R are
     the stage Hamiltonians, and the lower block (j, k), j > k, is the series
-    coupling Im(K_j^dag S_j ... S_{k+1} K_k) of the stages.  Precondition:
-    every stage scattering is unitary (CascadeChain checks it), so that
+    coupling Im(K_j^dag S_j ... S_{k+1} K_k) of the stages.  Every stage
+    scattering is unitary, as every SlhSystem is, so that
     S_j ... S_{k+1} = D_j^dag D_k and the block equals Im(K_j^dag K_k) on
     column pairs of the collapsed K, the coupling residual_interaction
     subtracts.
@@ -150,15 +146,29 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     diagonal 2x2 block of R.  Cascading the stages reproduces (S, K, R)
     exactly once the residual interaction is added back, and with no
     residual at all when the drift matrix is lower 2x2-block triangular.
-    The stages are read-only views into private copies of the stacked
-    column pairs and blocks, and each is judged passive at the scale of sys
-    (see split_systems).
+
+    The scatterings, column pairs and blocks are copied once, into private
+    stacks, and the stages are read-only views into them, checked in one
+    pass (see model._stages): stage 0's unitarity residual is that of S and
+    the identity's is exactly 0, and each stage's R is judged symmetric at
+    its own |R|_max.  Each stage is judged passive at the scale sigma of
+    sys.  What a stage drops is part of what sys drops, so every stage of a
+    passive system is passive, a stage that is zero up to the rounding of
+    sys included; judged at its own scale, such a stage would fail.
     """
     n, m = sys.n, sys.m
-    # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R, as views
-    k_stack = sys.k.reshape(m, n, 2).swapaxes(0, 1)
-    r_stack = pair_blocks(sys.r).diagonal().transpose(2, 0, 1)
-    return split_systems(sys, k_stack, r_stack)
+    s = np.empty((n, m, m), dtype=complex)
+    s[:] = np.eye(m)
+    s[:1] = sys.s
+    # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R
+    k = np.array(sys.k.reshape(m, n, 2).swapaxes(0, 1))
+    r = np.array(pair_blocks(sys.r).diagonal().transpose(2, 0, 1))
+    sigma = _sigma(max_abs(sys.r), max_abs(sys.k))
+    stages = _stages(s, k, r, [sys._defects[0]] + [0.0] * (n - 1))
+    for stage in stages:
+        k_defect, r_defect = stage._dropped[:2]
+        stage.__dict__["_passivity"] = (k_defect, r_defect, sigma)
+    return stages
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:

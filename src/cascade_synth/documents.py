@@ -17,8 +17,15 @@ from typing import Any, Mapping, NoReturn, Optional
 import numpy as np
 
 from .composition import CascadeChain
-from .errors import BadResidual, CascadeSynthError, NonHermitianRtilde, ParseError
+from .errors import (
+    BadResidual,
+    NonHermitianRtilde,
+    NonSymmetricR,
+    NonUnitaryScattering,
+    ParseError,
+)
 from .model import (
+    DEFAULT_TOL,
     ComplexMatrix,
     PassiveForm,
     RealMatrix,
@@ -31,8 +38,6 @@ from .model import (
 )
 
 SCHEMA_VERSION = "1"
-
-HERMITICITY_TOL = 1e-9
 
 
 def canonical_json(obj) -> str:
@@ -233,7 +238,7 @@ class SystemDocument:
             system = owner = SlhSystem(s=self.s, k=self.k, r=self.r)
         else:
             owner = PassiveForm(r_tilde=self.r_tilde, k_tilde=self.k_tilde)
-            system = from_passive_form(owner, self.s, tol_sym=HERMITICITY_TOL)
+            system = from_passive_form(owner, self.s)
         for name in present:
             object.__setattr__(self, name, getattr(owner, name))
         object.__setattr__(self, "s", system.s)
@@ -283,22 +288,25 @@ class SystemDocument:
         m = _count(data, "m")
         s = _decode(data["S"], m, m, "$.S", True)
         if data["form"] == "general":
-            return cls(
-                form="general",
-                s=s,
-                k=_decode(data["K"], m, 2 * n, "$.K", True),
-                r=_decode(data["R"], 2 * n, 2 * n, "$.R", False),
-            )
-        r_tilde = _decode(data["R_tilde"], n, n, "$.R_tilde", True)
-        k_tilde = _decode(data["K_tilde"], m, n, "$.K_tilde", True)
-        # the constructor checks Hermiticity, through PassiveForm.validate
+            fields = {
+                "k": _decode(data["K"], m, 2 * n, "$.K", True),
+                "r": _decode(data["R"], 2 * n, 2 * n, "$.R", False),
+            }
+        else:
+            fields = {
+                "r_tilde": _decode(data["R_tilde"], n, n, "$.R_tilde", True),
+                "k_tilde": _decode(data["K_tilde"], m, n, "$.K_tilde", True),
+            }
+        # the constructor checks Hermiticity of R_tilde, then S, then R
         try:
-            return cls(form="passive", s=s, k_tilde=k_tilde, r_tilde=r_tilde)
+            return cls(form=data["form"], s=s, **fields)
         except NonHermitianRtilde:
-            raise ParseError(
-                f"R_tilde must be Hermitian within {HERMITICITY_TOL:.1e} of |R_tilde|_max",
-                "$.R_tilde",
-            ) from None
+            message = f"R_tilde must be Hermitian within {DEFAULT_TOL:.1e} of |R_tilde|_max"
+            raise ParseError(message, "$.R_tilde") from None
+        except NonUnitaryScattering as exc:
+            raise ParseError(str(exc), "$.S") from None
+        except NonSymmetricR as exc:
+            raise ParseError(str(exc), "$.R" if "r" in fields else "$.R_tilde") from None
 
     def dumps(self) -> str:
         return canonical_json(self.to_dict())
@@ -317,9 +325,10 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
     """Decode the stage objects of a realization document, every stage at
     the field count m of stage 0.  Each of S, K and R is converted and
     checked for all stages at once, and the stages are read-only views into
-    those stacks with their residuals measured in one pass (model._stages);
-    each is still judged passive at its own scale.  Stages that fail the
-    checks are walked by _locate_stages to name the fault."""
+    those stacks, judged in one pass (model._stages); a stage that is not a
+    system is a ParseError at $.stages.  Each is still judged passive at its
+    own scale.  Stages that fail the decoding checks are walked by
+    _locate_stages to name the fault."""
     for i, entry in enumerate(entries):
         path = f"$.stages[{i}]"
         _require(isinstance(entry, dict), "expected an object", path)
@@ -333,8 +342,12 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
         _locate_stages(entries, m)
     # locked before the complex views are taken, which share their memory
     s, k = (_readonly(a).view(complex)[..., 0] for a in (s, k))
-    unitarity = stack_max(s.conj().swapaxes(1, 2) @ s - np.eye(m))
-    return _stages(s, k, r, unitarity.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        unitarity = stack_max(s.conj().swapaxes(1, 2) @ s - np.eye(m))
+    try:
+        return _stages(s, k, r, unitarity.tolist())
+    except (NonUnitaryScattering, NonSymmetricR) as exc:
+        raise ParseError(str(exc), "$.stages") from None
 
 
 def _locate_stages(entries, m) -> NoReturn:
@@ -423,7 +436,7 @@ class RealizationDocument:
             for key in ("V", "residual_R")
         )
         _require(isinstance(data["reports"], dict), "expected an object", "$.reports")
-        # the chain checks each stage (SlhSystem.validate), then the residual
+        # the stages were judged as they were decoded; the chain checks the residual
         try:
             return cls(
                 input_digest=data["input_digest"],
@@ -434,8 +447,6 @@ class RealizationDocument:
             )
         except BadResidual as exc:
             raise ParseError(str(exc), "$.residual_R") from None
-        except CascadeSynthError as exc:
-            raise ParseError(str(exc), "$.stages") from None
 
     def dumps(self) -> str:
         """canonical_json(self.to_dict()), with V written from its complex

@@ -169,18 +169,18 @@ class SlhSystem:
     r : (2n, 2n) real ndarray
         Symmetric Hamiltonian matrix, H = (1/2) x^T R x.
 
-    Construction checks shapes and finiteness only; the unitarity and
-    symmetry tolerances are enforced by :meth:`validate`, which the
-    state-space builder and CascadeChain call.  Each array is copied once on
-    construction and locked, so the structural quantities that need no
-    tolerance (the validation residuals, the drift and its triangularity
-    residual, the reduction to annihilation variables and what it drops) are
-    computed once per system, on first use, and every check compares them
-    against its own tolerance; a drift or passivity scale that is not finite
-    raises OverflowError.  Systems the pipeline builds from checked values
-    skip the constructor: the stages of split_systems are read-only views
-    into the split's own locked stacks, and the transformed system of
-    passive_realize holds the arrays it computed, locked.
+    Construction checks shapes and finiteness, then that S is unitary and R
+    symmetric (see _judge), so every SlhSystem is a system and no consumer
+    checks one again.  Each array is copied once on construction and
+    locked, so the structural quantities (the residuals _judge bounds, the
+    drift and its triangularity residual, the reduction to annihilation
+    variables and what it drops) are computed once per system and every
+    check compares them against its own tolerance; a drift or passivity
+    scale that is not finite raises OverflowError.  Systems the pipeline
+    builds from checked values skip the constructor: the stages of _stages
+    are read-only views into locked stacks, judged in one pass over them,
+    and the transformed system of passive_realize holds the arrays it
+    computed, locked.
     """
 
     s: ComplexMatrix
@@ -203,6 +203,7 @@ class SlhSystem:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "r", r)
+        _judge(*self._defects, max_abs(r))
 
     @property
     def n(self) -> int:
@@ -216,9 +217,11 @@ class SlhSystem:
 
     @cached_property
     def _defects(self) -> tuple[float, float]:
-        """(|S^dag S - I|_max, |R - R^T|_max), the residuals validate bounds."""
+        """(|S^dag S - I|_max, |R - R^T|_max), the residuals _judge bounds;
+        inf or NaN where huge entries overflow, which _judge rejects."""
         s, r = self.s, self.r
-        return max_abs(s.conj().T @ s - np.eye(self.m)), max_abs(r - r.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max_abs(s.conj().T @ s - np.eye(self.m)), max_abs(r - r.T)
 
     @cached_property
     def _drift(self) -> tuple[RealMatrix, float, float]:
@@ -252,24 +255,9 @@ class SlhSystem:
     def _passivity(self) -> tuple[float, float, float]:
         """(k_defect, r_defect, sigma), what is_passive compares: the dropped
         parts and the scale sigma they are judged at (see _sigma).
-        split_systems sets it for the stages of a larger system."""
+        one_mode_stages sets it for the stages of a larger system."""
         k_defect, r_defect, k_max, r_max = self._dropped
         return k_defect, r_defect, _sigma(r_max, k_max)
-
-    def validate(self, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL) -> "SlhSystem":
-        """Check unitarity of S, |S^dag S - I|_max <= tol_unitary, and symmetry
-        of R, |R - R^T|_max <= tol_sym * |R|_max, raising on failure.  The
-        symmetry bound has no unit floor, so rounding passes at every scale
-        of R and the zero matrix is symmetric."""
-        unitarity, asymmetry = self._defects
-        if unitarity > tol_unitary:
-            raise NonUnitaryScattering(
-                f"S fails unitarity at tolerance {tol_unitary:.1e}"
-            )
-        r_max = self._dropped[3]
-        if asymmetry > tol_sym * r_max:
-            raise NonSymmetricR(f"R fails symmetry at relative tolerance {tol_sym:.1e}")
-        return self
 
 
 def _unchecked(cls, **fields):
@@ -281,48 +269,38 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _judge(unitarity, asymmetry, r_max, where="") -> None:
+    """Raise NonUnitaryScattering unless |S^dag S - I|_max <= DEFAULT_TOL,
+    then NonSymmetricR unless |R - R^T|_max <= DEFAULT_TOL * |R|_max, with
+    where before the message.  The symmetry bound has no unit floor, so
+    rounding passes at every scale of R and the zero matrix is symmetric.
+    Each bound is written not residual <= bound, so a NaN residual fails."""
+    if not unitarity <= DEFAULT_TOL:
+        raise NonUnitaryScattering(f"{where}S fails unitarity at tolerance {DEFAULT_TOL:.1e}")
+    if not asymmetry <= DEFAULT_TOL * r_max:
+        raise NonSymmetricR(f"{where}R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}")
+
+
 def _stages(s, k, r, unitarity) -> tuple[SlhSystem, ...]:
     """The one-mode systems (s[j], k[j], r[j]) of the stacks s (count, m, m)
     and k (count, m, 2) of complex and r (count, 2, 2) of real entries, which
-    the caller made from checked values and holds alone.  The stacks are
+    the caller made from finite values and holds alone.  The stacks are
     locked here, and each stage's arrays are read-only views into them.
 
-    The residuals validate compares and what each stage drops on reduction
-    to annihilation variables, with its |K|_max and |R|_max, are measured in
+    The residuals _judge bounds and what each stage drops on reduction to
+    annihilation variables, with its |K|_max and |R|_max, are measured in
     one pass over the stacks; unitarity lists the stages' unitarity
-    residuals, which the caller knows or measures over s."""
+    residuals, which the caller knows or measures over s.  Each stage is
+    judged at its own |R|_max, lowest first, and the first that fails is
+    named in the error, "stage j: ..."."""
     s, k, r = _readonly(s), _readonly(k), _readonly(r)
     stages = tuple(_unchecked(SlhSystem, s=s[j], k=k[j], r=r[j]) for j in range(len(r)))
-    asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
-    dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))
-    for stage, u, a, d in zip(stages, unitarity, asymmetry, dropped):
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
+        dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))
+    for j, (stage, u, a, d) in enumerate(zip(stages, unitarity, asymmetry, dropped)):
+        _judge(u, a, d[3], f"stage {j}: ")
         stage.__dict__.update(_defects=(u, a), _dropped=d)
-    return stages
-
-
-def split_systems(sys: SlhSystem, k, r) -> tuple[SlhSystem, ...]:
-    """The one-mode systems (S, k[0], r[0]), (I, k[1], r[1]), ... split from
-    sys, for stacks k (n, m, 2) and r (n, 2, 2) of views of the arrays of
-    sys.  The scatterings and the stacks are copied once, into private
-    arrays, and the stages are read-only views into them, their structural
-    quantities measured in one pass (see _stages); the arrays of sys are
-    finite, so nothing is checked again.
-
-    Stage 0's unitarity residual is that of S, and the identity's is
-    exactly 0.  Each stage is judged passive at the scale sigma of sys.
-    What a stage drops is part of what sys drops, so every stage of a
-    passive system is passive, a stage that is zero up to the rounding of
-    sys included; judged at its own scale, such a stage would fail.
-    """
-    n, m = len(r), sys.m
-    s = np.empty((n, m, m), dtype=complex)
-    s[:] = np.eye(m)
-    s[:1] = sys.s
-    sigma = _sigma(max_abs(sys.r), max_abs(sys.k))
-    stages = _stages(s, np.array(k), np.array(r), [sys._defects[0]] + [0.0] * (n - 1))
-    for stage in stages:
-        k_defect, r_defect = stage._dropped[:2]
-        stage.__dict__["_passivity"] = (k_defect, r_defect, sigma)
     return stages
 
 
@@ -408,13 +386,13 @@ class PassiveForm:
     def m(self) -> int:
         return self.k_tilde.shape[0]
 
-    def validate(self, tol_sym=DEFAULT_TOL) -> "PassiveForm":
+    def validate(self) -> "PassiveForm":
         """Check Hermiticity of r_tilde relative to its scale,
-        |r_tilde - r_tilde^dag|_max <= tol_sym * |r_tilde|_max, raising on
-        failure."""
-        if not is_hermitian(self.r_tilde, tol_sym):
+        |r_tilde - r_tilde^dag|_max <= DEFAULT_TOL * |r_tilde|_max, raising
+        on failure."""
+        if not is_hermitian(self.r_tilde, DEFAULT_TOL):
             raise NonHermitianRtilde(
-                f"R_tilde fails Hermiticity at relative tolerance {tol_sym:.1e}"
+                f"R_tilde fails Hermiticity at relative tolerance {DEFAULT_TOL:.1e}"
             )
         return self
 
@@ -426,17 +404,15 @@ def drift_matrix(sys: SlhSystem) -> RealMatrix:
     return 2.0 * theta_times(sys.r + np.imag(sys.k.conj().T @ sys.k))
 
 
-def build_state_space(
-    sys: SlhSystem, tol_unitary=DEFAULT_TOL, tol_sym=DEFAULT_TOL
-) -> DoubledStateSpace:
+def build_state_space(sys: SlhSystem) -> DoubledStateSpace:
     """Assemble the doubled-up state-space matrices of a system.
 
     A = 2 Theta (R + Im(K^dag K)),  B = 2i Theta [-K^dag S   K^T S^#],
     Cd = [K; K^#],  Dd = diag(S, S^#).  A is real by construction since
     Im(.) is taken entrywise; B satisfies B^# = B P where P swaps its two
     column halves, mirroring the conjugate structure of the doubled fields.
+    The system was checked when it was made, so nothing is checked here.
     """
-    sys.validate(tol_unitary, tol_sym)
     a = sys._drift[0]
     b = 2j * theta_times(np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()]))
     c = np.vstack([sys.k, sys.k.conj()])
@@ -453,7 +429,7 @@ def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:
     |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max <= tol * sigma.
     sigma carries the units of the drift R + Im(K^dag K), so the verdict is
     the same at every scale of the system; the zero system is passive.  A
-    stage that split_systems made is judged at the sigma of the system it
+    stage that one_mode_stages made is judged at the sigma of the system it
     was split from.
     """
     k_defect, r_defect, sigma = sys._passivity
@@ -473,15 +449,16 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
     return PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde)
 
 
-def from_passive_form(pf: PassiveForm, s: ComplexMatrix, tol_sym=DEFAULT_TOL) -> SlhSystem:
+def from_passive_form(pf: PassiveForm, s: ComplexMatrix) -> SlhSystem:
     """Expand an annihilation-variable description into quadratures.
 
     K = k_tilde Sigma, whose column pair j is (k_j/2, i k_j/2) for column j
     of k_tilde, and R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4;
     the resulting diagonal 2x2 blocks of R are scalar multiples of the
-    identity, the hallmark of a passive Hamiltonian.
+    identity, the hallmark of a passive Hamiltonian.  Raises
+    NonHermitianRtilde (PassiveForm.validate), then what SlhSystem raises.
     """
-    pf.validate(tol_sym)
+    pf.validate()
     k = np.empty((pf.m, 2 * pf.n), dtype=complex)
     k[:, 0::2] = pf.k_tilde / 2
     k[:, 1::2] = 1j * pf.k_tilde / 2

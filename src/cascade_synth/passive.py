@@ -181,8 +181,8 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     measures the resulting V): M from the cached reduction to annihilation
     variables by the formula of mode_matrix, V = realify(U), and a
     transformed system that shares S with the input and holds K V^T and the
-    symmetrized V R V^T uncopied.  Its validation residuals are those of S
-    and exactly 0, since (X + X^T)/2 is exactly symmetric.
+    symmetrized V R V^T uncopied.  It is not judged again: its residuals
+    are those of S and exactly 0, since (X + X^T)/2 is exactly symmetric.
     """
     if not is_passive(sys, tol):
         raise NotPassive(f"system is not passive at tolerance {tol:.1e}")

@@ -171,9 +171,9 @@ def certify_equivalence(
     uniform in [-2, 2]*scale, where scale = max(|A1|_max, |A2|_max), or 1
     when both drifts are zero; |A|_max = 2 |R + Im(K^dag K)|_max, as Theta is
     a signed permutation.  There is no unit floor on the scale, so samples
-    sit among the poles at every scale of the systems.  Both systems must
-    pass SlhSystem.validate.  G is evaluated at all samples in one stacked
-    solve over the pair, by one of two routes:
+    sit among the poles at every scale of the systems, which were checked
+    when they were made.  G is evaluated at all samples in one stacked solve
+    over the pair, by one of two routes:
 
     - Passive pair: when both systems drop at most eps = tol/100 of |K|_max
       and |R|_max, relative and with no floor, on reduction to annihilation
@@ -202,7 +202,7 @@ def certify_equivalence(
         )
     if max_abs(g.s - g2.s) > tol:
         raise ScatteringMismatch("scattering matrices differ beyond tolerance")
-    systems = (g.validate(), g2.validate())
+    systems = (g, g2)
     scale = max(_drift_max(x) for x in systems) or 1.0
     rng = np.random.default_rng(seed)
     eps = tol / 100.0

@@ -2,15 +2,16 @@
 
 perfbench wraps every function its ``spans.LAYERS`` lists, found in the
 module ``cascade_synth.<layer>`` (methods in their class body), and its
-workloads call the package namespace as ``cs.<name>`` and build a
-``cs.RealizationDocument`` by keyword.  Removing or moving one of these
-names, or a keyword, breaks the benchmark, so these tests fail first.
+workloads call the package namespace as ``cs.<name>(...)``, often by
+keyword.  Removing or moving one of these names, or a parameter one of
+these calls passes, breaks the benchmark, so these tests fail first.
 """
 
 import ast
-import dataclasses
+import functools
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -34,16 +35,17 @@ SPAN_NAMES = [
 ]
 WORKLOADS = (PERFBENCH / "workloads.py").read_text()
 WORKLOAD_NAMES = sorted(set(re.findall(r"\bcs\.([A-Za-z_]\w*)", WORKLOADS)))
-DOCUMENT_CALLS = [
+WORKLOAD_CALLS = [
     node
     for node in ast.walk(ast.parse(WORKLOADS))
-    if isinstance(node, ast.Call) and ast.unparse(node.func) == "cs.RealizationDocument"
+    if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("cs.")
 ]
 
 
 def test_names_were_found():
     assert len(SPAN_NAMES) >= 20 and "passive_realize" in WORKLOAD_NAMES
-    assert DOCUMENT_CALLS
+    called = {ast.unparse(call.func) for call in WORKLOAD_CALLS}
+    assert {"cs.RealizationDocument", "cs.certify_equivalence", "cs.SlhSystem"} <= called
 
 
 @pytest.mark.parametrize("layer, name", SPAN_NAMES, ids=[f"{l}.{n}" for l, n in SPAN_NAMES])
@@ -62,8 +64,18 @@ def test_workload_name_is_exported(name):
     assert hasattr(cascade_synth, name)
 
 
-@pytest.mark.parametrize("call", DOCUMENT_CALLS, ids=lambda call: f"line-{call.lineno}")
-def test_realization_document_keywords_are_init_fields(call):
-    fields = dataclasses.fields(cascade_synth.RealizationDocument)
-    assert not call.args
-    assert {kw.arg for kw in call.keywords} <= {f.name for f in fields if f.init}
+@pytest.mark.parametrize(
+    "call", WORKLOAD_CALLS, ids=lambda call: f"{ast.unparse(call.func)[3:]}-line-{call.lineno}"
+)
+def test_workload_call_binds_to_its_signature(call):
+    # cs.A.b(...) calls the attribute b of the exported name A
+    path = ast.unparse(call.func).split(".")[1:]
+    target = functools.reduce(getattr, path, cascade_synth)
+    signature = inspect.signature(target)
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    keywords = [kw.arg for kw in call.keywords]
+    if starred or None in keywords:
+        # *args or **kwargs: only the keywords written out can be checked
+        assert set(keywords) - {None} <= set(signature.parameters)
+    else:
+        signature.bind(*call.args, **dict.fromkeys(keywords))

@@ -165,6 +165,53 @@ class TestDecompose:
         assert "suggestion" not in payload
 
 
+def bent_document(tmp_path, doc, fault):
+    """The JSON of doc, a general-form document, with S doubled (fault "S")
+    or with 0.5 added to R[2][0], below the block diagonal, and not to its
+    mirror R[0][2] (fault "R")."""
+    data = doc.to_dict()
+    if fault == "S":
+        data["S"] = [[[2.0 * x for x in cell] for cell in row] for row in data["S"]]
+    else:
+        data["R"][2][0] += 0.5
+    path = tmp_path / f"bent-{fault}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestInvalidSystem:
+    """A document that holds no system, with an S that is not unitary or an
+    R that is not symmetric, is a parse error at the matrix at fault, and no
+    command gives a verdict on it or writes a realization of it."""
+
+    ERRORS = {
+        "S": "$.S: S fails unitarity at tolerance 1.0e-09",
+        "R": "$.R: R fails symmetry at relative tolerance 1.0e-09",
+    }
+
+    @pytest.mark.parametrize("fault", ["S", "R"])
+    @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize", "tf", "verify"])
+    def test_every_command_refuses(self, capsys, tmp_path, cascade_doc, fault, command):
+        valid, _, doc = cascade_doc
+        path = bent_document(tmp_path, doc, fault)
+        out = tmp_path / "realization.json"
+        extra = {
+            "decompose": ["--out", str(out)],
+            "passive-realize": ["--out", str(out)],
+            "tf": ["--points", "1+1j"],
+            "verify": [valid],
+        }
+        code, payload = run_cli(capsys, command, path, *extra.get(command, []))
+        assert code == 1
+        assert payload == {"error": self.ERRORS[fault], "kind": "parse"}
+        assert not out.exists()
+
+    def test_verify_reads_both_documents(self, capsys, tmp_path, cascade_doc):
+        valid, _, doc = cascade_doc
+        code, payload = run_cli(capsys, "verify", valid, bent_document(tmp_path, doc, "R"))
+        assert code == 1 and payload == {"error": self.ERRORS["R"], "kind": "parse"}
+
+
 class TestPassiveRealize:
     def test_full_pipeline(self, capsys, tmp_path, reference_doc):
         path, doc = reference_doc

@@ -23,6 +23,7 @@ from cascade_synth import (
     residual_interaction,
     series,
 )
+from cascade_synth.model import _stages
 from cascade_synth.sampling import random_chain, random_passive_system, random_system
 
 import reference_data as ref
@@ -55,6 +56,18 @@ def series_oracle(g2, g1):
             r[2 + i, j] = acc
             r[j, 2 + i] = acc
     return s, k, r
+
+
+def judged_stages(*stages):
+    """model._stages, the one judge of split and decoded stages, over
+    (s, k, r) triples of one-mode arrays that need not form systems."""
+    s, k, r = (np.array(x) for x in zip(*stages))
+    unitarity = [max_abs(x.conj().T @ x - np.eye(len(x))) for x in s]
+    return _stages(s.astype(complex), k.astype(complex), r.astype(float), unitarity)
+
+
+def arrays(sys):
+    return sys.s, sys.k, sys.r
 
 
 def assert_systems_close(g1, g2, tol):
@@ -179,23 +192,27 @@ class TestCascade:
             CascadeChain(stages=(random_system(2, 2, 0),))
         with pytest.raises(FieldCountMismatch):
             CascadeChain(stages=(stage, random_system(1, 3, 0)))
-        # cascade's coupling formula needs unitary stage scatterings
-        leaky = SlhSystem(s=(1.0 + 1e-6) * stage.s, k=stage.k, r=stage.r)
-        with pytest.raises(NonUnitaryScattering):
-            CascadeChain(stages=(stage, leaky))
-        # the stages are checked in order, and the error names the first failure
+        with pytest.raises(FieldCountMismatch, match="stage 1"):
+            CascadeChain(stages=(stage, random_system(1, 3, 1), stage))
+        # cascade's coupling formula needs unitary stage scatterings: no
+        # system holds another scattering, and the judge of split and
+        # decoded stages names the first stage that fails
+        good = arrays(stage)
+        leaky = ((1.0 + 1e-6) * stage.s, stage.k, stage.r)
+        with pytest.raises(NonUnitaryScattering, match="^S fails unitarity"):
+            SlhSystem(*leaky)
         with pytest.raises(NonUnitaryScattering, match="stage 2"):
-            CascadeChain(stages=(stage, stage, leaky, leaky))
-        tilted = SlhSystem(s=stage.s, k=stage.k, r=stage.r + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+            judged_stages(good, good, leaky, leaky)
+        tilted = (stage.s, stage.k, stage.r + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+        with pytest.raises(NonSymmetricR, match="^R fails symmetry"):
+            SlhSystem(*tilted)
         with pytest.raises(NonSymmetricR, match="stage 1"):
-            CascadeChain(stages=(stage, tilted, stage, tilted))
+            judged_stages(good, tilted, good, tilted)
         # the lowest failing stage raises, whichever check it fails
         with pytest.raises(NonSymmetricR, match="stage 0"):
-            CascadeChain(stages=(tilted, stage, stage, leaky))
+            judged_stages(tilted, good, good, leaky)
         with pytest.raises(NonUnitaryScattering, match="stage 1"):
-            CascadeChain(stages=(stage, leaky, random_system(1, 3, 1)))
-        with pytest.raises(FieldCountMismatch, match="stage 1"):
-            CascadeChain(stages=(stage, random_system(1, 3, 1), leaky))
+            judged_stages(good, leaky, tilted)
 
     @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_chain_symmetry_is_relative_to_each_stage(self, c):
@@ -205,9 +222,12 @@ class TestCascade:
             s=stage.s, k=stage.k, r=c * np.array([[1.0, 0.3], [0.3 * (1 + 1e-15), 2.0]])
         )
         assert CascadeChain(stages=(stage, rounded, stage)).n == 3
-        tilted = SlhSystem(s=stage.s, k=stage.k, r=rounded.r + [[0.0, 0.2 * c], [0.0, 0.0]])
+        tilted = (stage.s, stage.k, rounded.r + [[0.0, 0.2 * c], [0.0, 0.0]])
+        with pytest.raises(NonSymmetricR, match="^R fails symmetry"):
+            SlhSystem(*tilted)
+        # each stage at its own |R|_max, not at the largest among them
         with pytest.raises(NonSymmetricR, match="stage 1"):
-            CascadeChain(stages=(rounded, tilted, stage))
+            judged_stages(arrays(rounded), tilted, arrays(stage))
 
     def test_residual_validation(self):
         stage = random_system(1, 2, 0)
@@ -300,7 +320,7 @@ def triangular_system(n, m, seed):
 
 class TestStageSplit:
     """The stages of one_mode_stages are read-only views into the split's
-    own stacks, built without the per-stage constructor checks."""
+    own stacks, judged in one pass over them, not one constructor each."""
 
     @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 2, 1), (6, 4, 2), (4, 0, 3), (2, 3, 4)])
     def test_stages_match_loop_built_oracle(self, n, m, seed):
@@ -331,20 +351,22 @@ class TestStageSplit:
 
     def test_decompose_raises_what_the_chain_constructor_raises(self):
         s, k, r = triangular_system(3, 2, 6)
-        leaky = SlhSystem(s=(1.0 + 1e-6) * s, k=k, r=r)
+        # no system has a scattering that fails unitarity, so no stage has
+        with pytest.raises(NonUnitaryScattering, match="^S fails unitarity"):
+            SlhSystem(s=(1.0 + 1e-6) * s, k=k, r=r)
+        # diagonal block 1 made small and its upper entry tilted: R is
+        # symmetric to 1e-9 of |R|_max, the block not to 1e-9 of its own
         r_tilted = r.copy()
-        r_tilted[2, 3] += 1e-6 * max_abs(r[2:4, 2:4])  # diagonal block 1, upper entry
+        r_tilted[2:4, 2:4] = 1e-3 * np.array([[1.0, 0.3], [0.3, 2.0]])
+        r_tilted[2, 3] += 1e-10 * max_abs(r_tilted)
         tilted = SlhSystem(s=s, k=k, r=r_tilted)
-        for sys, error, message in (
-            (leaky, NonUnitaryScattering, "stage 0: S fails unitarity at tolerance 1.0e-09"),
-            (tilted, NonSymmetricR, "stage 1: R fails symmetry at relative tolerance 1.0e-09"),
-        ):
-            assert is_cascade_realizable(sys).is_triangular
-            with pytest.raises(error) as public:
-                CascadeChain(stages=one_mode_stages(sys))
-            with pytest.raises(error) as split:
-                decompose_cascade(sys)
-            assert str(split.value) == str(public.value) == message
+        assert is_cascade_realizable(tilted).is_triangular
+        with pytest.raises(NonSymmetricR) as public:
+            CascadeChain(stages=one_mode_stages(tilted))
+        with pytest.raises(NonSymmetricR) as split:
+            decompose_cascade(tilted)
+        message = "stage 1: R fails symmetry at relative tolerance 1.0e-09"
+        assert str(split.value) == str(public.value) == message
 
     @pytest.mark.parametrize("n", [1, 4, 6])
     def test_chain_checks_compute_nothing_for_the_stages(self, count_computations, n):
@@ -353,6 +375,6 @@ class TestStageSplit:
         dropped = count_computations("_dropped")
         for chain in (decompose_cascade(sys), CascadeChain(stages=one_mode_stages(sys))):
             assert chain.n == n
-        # the split measured what the chain checks compare; only sys computes
-        # its own unitarity residual, once, for stage 0
-        assert defects == [sys] and dropped == []
+        # the split measured and judged the stages, and sys measured its own
+        # residuals when it was made, so nothing is computed here
+        assert defects == [] and dropped == []

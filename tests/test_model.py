@@ -24,7 +24,7 @@ from cascade_synth import (
     passive_realize,
     to_passive_form,
 )
-from cascade_synth.model import realify, theta_times
+from cascade_synth.model import DEFAULT_TOL, _unchecked, realify, theta_times
 from cascade_synth.sampling import (
     _complex_gaussian,
     random_passive_form,
@@ -154,17 +154,48 @@ class TestSlhSystem:
         with pytest.raises(ValueError):
             SlhSystem(s=np.eye(1), k=k, r=np.zeros((2, 2)))
 
-    def test_validate_checks_unitarity_and_symmetry(self):
+    def test_construction_checks_unitarity_and_symmetry(self):
         good = random_system(2, 2, 1)
-        assert good.validate() is good
-        bad_s = SlhSystem(s=2 * np.eye(2), k=good.k, r=good.r)
-        with pytest.raises(NonUnitaryScattering):
-            bad_s.validate()
+        assert not hasattr(good, "validate")
+        with pytest.raises(NonUnitaryScattering) as exc:
+            SlhSystem(s=2 * np.eye(2), k=good.k, r=good.r)
+        assert str(exc.value) == "S fails unitarity at tolerance 1.0e-09"
         r = np.array(good.r)
         r[0, 1] += 1.0
-        bad_r = SlhSystem(s=good.s, k=good.k, r=r)
-        with pytest.raises(NonSymmetricR):
-            bad_r.validate()
+        with pytest.raises(NonSymmetricR) as exc:
+            SlhSystem(s=good.s, k=good.k, r=r)
+        assert str(exc.value) == "R fails symmetry at relative tolerance 1.0e-09"
+
+    @pytest.mark.parametrize(
+        "s, r, error",
+        [
+            # |S^dag S - I|_max overflows to inf
+            pytest.param(1e200 * np.eye(2), np.eye(2), NonUnitaryScattering, id="inf-unitarity"),
+            # finite entries whose products cancel as inf - inf = NaN
+            pytest.param(
+                1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]), np.eye(2), NonUnitaryScattering,
+                id="nan-unitarity",
+            ),
+            # |R - R^T|_max overflows to inf
+            pytest.param(
+                np.eye(2), np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]), NonSymmetricR,
+                id="inf-asymmetry",
+            ),
+        ],
+    )
+    def test_non_finite_residual_fails(self, s, r, error):
+        # warnings are errors in this suite, so no RuntimeWarning escapes
+        k = np.zeros((2, 2))
+        unitarity, asymmetry = SlhSystem._defects.func(_unchecked(SlhSystem, s=s, k=k, r=r))
+        residual, bound = (
+            (unitarity, DEFAULT_TOL)
+            if error is NonUnitaryScattering
+            else (asymmetry, DEFAULT_TOL * max_abs(r))
+        )
+        # nan > bound is false, so the residual fails as not residual <= bound
+        assert not residual <= bound and not np.isfinite(residual)
+        with pytest.raises(error):
+            SlhSystem(s=s, k=k, r=r)
 
     def test_identity_system_is_empty(self):
         g = ref.identity_system(3)
@@ -346,7 +377,7 @@ class TestSymmetryScale:
     def test_hermiticity(self, c):
         r_tilde, k_tilde = rounded_hermitian(c)
         sys = from_passive_form(PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde), np.eye(1))
-        assert sys.validate() is sys and is_passive(sys)
+        assert is_passive(sys)
         bent = np.array(r_tilde)
         bent[0, 1] += 0.1 * max_abs(r_tilde)
         with pytest.raises(NonHermitianRtilde):
@@ -356,15 +387,17 @@ class TestSymmetryScale:
     def test_symmetry(self, c):
         r = c * np.array([[1.0, 0.3], [0.3 * (1 + 1e-15), 2.0]])
         k = np.sqrt(c) * np.array([[1.0, 1.0j]])
-        sys = SlhSystem(s=np.eye(1), k=k, r=r)
-        assert sys.validate() is sys
-        bent = SlhSystem(s=np.eye(1), k=k, r=r + np.array([[0.0, 0.2 * c], [0.0, 0.0]]))
+        # constructs at every scale, as its asymmetry is rounding of it
+        assert SlhSystem(s=np.eye(1), k=k, r=r).n == 1
         with pytest.raises(NonSymmetricR):
-            bent.validate()
+            SlhSystem(s=np.eye(1), k=k, r=r + np.array([[0.0, 0.2 * c], [0.0, 0.0]]))
+        # unitarity has an absolute bound, the same at every scale of R
+        with pytest.raises(NonUnitaryScattering):
+            SlhSystem(s=np.eye(1) * (1 + 1e-6), k=k, r=r)
 
     def test_zero_matrices_pass(self):
         zero = SlhSystem(s=np.eye(1), k=np.zeros((1, 2)), r=np.zeros((2, 2)))
-        assert zero.validate() is zero
+        assert zero._defects == (0.0, 0.0)
         pf = PassiveForm(r_tilde=np.zeros((2, 2)), k_tilde=np.zeros((1, 2)))
         assert pf.validate() is pf
 
@@ -407,7 +440,6 @@ class TestComputeOnce:
         early = base[:]
         base.flags.writeable = False
         sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 4)), r=base)
-        assert sys.validate() is sys
         before = np.array(sys.r)
         early[0, 1] += 1.0  # R would no longer be symmetric
         assert np.array_equal(sys.r, before)
@@ -420,10 +452,10 @@ class TestComputeOnce:
         view.flags.writeable = False
         sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 4)), r=view)
         assert sys.r is not view
-        assert sys.validate() is sys
         base[0, 1] += 1.0  # R would no longer be symmetric
         assert not np.array_equal(view, sys.r)
-        assert sys.validate() is sys and sys._defects == (0.0, 0.0)
+        assert sys._defects == (0.0, 0.0)
+        assert SlhSystem(s=sys.s, k=sys.k, r=sys.r)._defects == (0.0, 0.0)
 
     def test_passivity_reduction_computed_once(self, count_computations):
         computed = count_computations("_dropped")
@@ -468,13 +500,17 @@ class TestComputeOnce:
     def test_validation_residuals_computed_once(self, count_computations):
         computed = count_computations("_defects")
         sys = random_system(2, 2, 11)
+        assert computed == [sys]
         r = np.array(sys.r)
         r[0, 1] += 1e-6
-        bent = SlhSystem(s=sys.s, k=sys.k, r=r)
-        assert bent.validate(tol_sym=1e-3) is bent
         with pytest.raises(NonSymmetricR):
-            bent.validate()
-        assert computed == [bent]
+            SlhSystem(s=sys.s, k=sys.k, r=r)
+        assert len(computed) == 2
+        # what consumes a system reads the residuals construction measured
+        build_state_space(sys)
+        certify_equivalence(sys, sys)
+        one_mode_stages(sys)
+        assert len(computed) == 2
 
     def test_drift_computed_once(self, drift_calls):
         sys = random_system(3, 2, 12)

@@ -14,7 +14,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadResidual, FieldCountMismatch
-from .model import RealMatrix, SlhSystem, _as_real, _sigma, _stages, max_abs, pair_blocks
+from .model import (
+    RealMatrix,
+    SlhSystem,
+    _as_real,
+    _readonly,
+    _sigma,
+    _stages,
+    _unchecked,
+    max_abs,
+    pair_blocks,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +77,21 @@ class CascadeChain:
         return self.stages[0].m
 
 
+def _composed(s, k, r) -> SlhSystem:
+    """The system (s, k, r) composed of checked systems, locked and not
+    judged again: the unitarity residuals of scatterings add up in their
+    product, so a composition of valid systems can exceed the bound each
+    met.  Its residuals are measured when first read (SlhSystem._defects)."""
+    return _unchecked(SlhSystem, s=_readonly(s), k=_readonly(k), r=_readonly(r))
+
+
 def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:
     """Series composition: the output fields of g1 drive the inputs of g2.
 
     Requires equal field counts and disjoint mode sets; the result acts on
     x = (x_g1, x_g2) with S = S2 S1, K = [S2 K1  K2], R block-diagonal in
     (R1, R2) plus the field-mediated coupling Im(K2^dag S2 K1) between the
-    downstream and upstream modes.
+    downstream and upstream modes, not judged again (see _composed).
     """
     if g1.m != g2.m:
         raise FieldCountMismatch(f"field counts differ: {g1.m} vs {g2.m}")
@@ -84,11 +102,7 @@ def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:
     coupling = np.imag(g2.k.conj().T @ g2.s @ g1.k)
     r[2 * n1 :, : 2 * n1] = coupling
     r[: 2 * n1, 2 * n1 :] = coupling.T
-    return SlhSystem(
-        s=g2.s @ g1.s,
-        k=np.hstack([g2.s @ g1.k, g2.k]),
-        r=r,
-    )
+    return _composed(g2.s @ g1.s, np.hstack([g2.s @ g1.k, g2.k]), r)
 
 
 def _strict_lower(a) -> RealMatrix:
@@ -116,9 +130,15 @@ def cascade(chain: CascadeChain) -> SlhSystem:
     the stage Hamiltonians, and the lower block (j, k), j > k, is the series
     coupling Im(K_j^dag S_j ... S_{k+1} K_k) of the stages.  Every stage
     scattering is unitary, as every SlhSystem is, so that
-    S_j ... S_{k+1} = D_j^dag D_k and the block equals Im(K_j^dag K_k) on
-    column pairs of the collapsed K, the coupling residual_interaction
+    S_j ... S_{k+1} = D_j^dag D_k and the block is taken as Im(K_j^dag K_k)
+    on column pairs of the collapsed K, the coupling residual_interaction
     subtracts.
+
+    Every chain collapses: the result is built from the checked stages and
+    not judged again (see _composed).  Its S and K are the fold's, and its
+    couplings differ from the fold's by up to the sum of the stages'
+    unitarity residuals, relative; that sum also bounds, to first order,
+    the unitarity residual of its S, which can exceed DEFAULT_TOL.
     """
     stages = chain.stages
     n, m = chain.n, chain.m
@@ -135,7 +155,7 @@ def cascade(chain: CascadeChain) -> SlhSystem:
     pair_blocks(r)[modes, modes] = hamiltonians
     if chain.residual_r is not None:
         r = r + chain.residual_r
-    return SlhSystem(s=acc, k=k, r=r)
+    return _composed(acc, k, r)
 
 
 def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:

@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
 )
 from .model import (
-    DEFAULT_TOL,
     ComplexMatrix,
     PassiveForm,
     RealMatrix,
@@ -297,16 +296,15 @@ class SystemDocument:
                 "r_tilde": _decode(data["R_tilde"], n, n, "$.R_tilde", True),
                 "k_tilde": _decode(data["K_tilde"], m, n, "$.K_tilde", True),
             }
-        # the constructor checks Hermiticity of R_tilde, then S, then R
+        # the constructor checks S, then R, or R_tilde as the symmetry of its R
         try:
             return cls(form=data["form"], s=s, **fields)
-        except NonHermitianRtilde:
-            message = f"R_tilde must be Hermitian within {DEFAULT_TOL:.1e} of |R_tilde|_max"
-            raise ParseError(message, "$.R_tilde") from None
         except NonUnitaryScattering as exc:
             raise ParseError(str(exc), "$.S") from None
         except NonSymmetricR as exc:
-            raise ParseError(str(exc), "$.R" if "r" in fields else "$.R_tilde") from None
+            raise ParseError(str(exc), "$.R") from None
+        except NonHermitianRtilde as exc:
+            raise ParseError(str(exc), "$.R_tilde") from None
 
     def dumps(self) -> str:
         return canonical_json(self.to_dict())

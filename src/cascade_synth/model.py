@@ -63,13 +63,6 @@ def dropped_parts(k, r):
     )
 
 
-def is_hermitian(a, tol) -> bool:
-    """True when |a - a^dag|_max <= tol * |a|_max: a bound relative to the
-    matrix with no unit floor, so rounding passes at every scale and the
-    zero matrix is Hermitian."""
-    return max_abs(a - a.conj().T) <= tol * max_abs(a)
-
-
 def block_diag(a, b):
     """The block-diagonal matrix diag(a, b) of two 2-d arrays."""
     out = np.zeros(np.add(a.shape, b.shape), dtype=np.result_type(a, b))
@@ -179,8 +172,9 @@ class SlhSystem:
     scale that is not finite raises OverflowError.  Systems the pipeline
     builds from checked values skip the constructor: the stages of _stages
     are read-only views into locked stacks, judged in one pass over them,
-    and the transformed system of passive_realize holds the arrays it
-    computed, locked.
+    the transformed system of passive_realize holds the arrays it computed,
+    locked, and so do the compositions of series and cascade, whose
+    unitarity residual can add up those of their parts.
     """
 
     s: ComplexMatrix
@@ -354,6 +348,8 @@ class PassiveForm:
 
     r_tilde is the Hermitian n x n Hamiltonian matrix and k_tilde the complex
     m x n coupling, H = (1/2) a^dag r_tilde a + offset and L = k_tilde a.
+    Construction checks shapes and finiteness; from_passive_form judges
+    Hermiticity, as the symmetry of the quadrature R it expands to.
     """
 
     r_tilde: ComplexMatrix
@@ -385,16 +381,6 @@ class PassiveForm:
     @property
     def m(self) -> int:
         return self.k_tilde.shape[0]
-
-    def validate(self) -> "PassiveForm":
-        """Check Hermiticity of r_tilde relative to its scale,
-        |r_tilde - r_tilde^dag|_max <= DEFAULT_TOL * |r_tilde|_max, raising
-        on failure."""
-        if not is_hermitian(self.r_tilde, DEFAULT_TOL):
-            raise NonHermitianRtilde(
-                f"R_tilde fails Hermiticity at relative tolerance {DEFAULT_TOL:.1e}"
-            )
-        return self
 
 
 def drift_matrix(sys: SlhSystem) -> RealMatrix:
@@ -455,11 +441,19 @@ def from_passive_form(pf: PassiveForm, s: ComplexMatrix) -> SlhSystem:
     K = k_tilde Sigma, whose column pair j is (k_j/2, i k_j/2) for column j
     of k_tilde, and R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4;
     the resulting diagonal 2x2 blocks of R are scalar multiples of the
-    identity, the hallmark of a passive Hamiltonian.  Raises
-    NonHermitianRtilde (PassiveForm.validate), then what SlhSystem raises.
+    identity, the hallmark of a passive Hamiltonian.  R is symmetric
+    exactly when r_tilde is Hermitian, so SlhSystem's symmetry test is the
+    one judge of both, comparing the largest real or imaginary part of
+    r_tilde - r_tilde^dag with that of r_tilde.  Raises what SlhSystem
+    raises, with NonHermitianRtilde in place of NonSymmetricR.
     """
-    pf.validate()
     k = np.empty((pf.m, 2 * pf.n), dtype=complex)
     k[:, 0::2] = pf.k_tilde / 2
     k[:, 1::2] = 1j * pf.k_tilde / 2
-    return SlhSystem(s=s, k=k, r=realify(pf.r_tilde) / 4)
+    try:
+        return SlhSystem(s=s, k=k, r=realify(pf.r_tilde) / 4)
+    except NonSymmetricR:
+        raise NonHermitianRtilde(
+            f"R_tilde must be Hermitian within {DEFAULT_TOL:.1e} of its largest "
+            "real or imaginary part"
+        ) from None

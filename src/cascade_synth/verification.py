@@ -104,16 +104,25 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
         raise ResolventSingular("resolvent solve failed at one of the given points") from exc
 
 
-def _mode_spaces(systems):
-    """The stacked (2M, k_tilde^dag S, -k_tilde, S) of a pair of systems: the
-    n x n state spaces of G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S
-    with 2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde, the annihilation
-    block of the doubled-up transfer function of a passive system, formed
-    for both systems at once."""
+def _passive_values(systems, points) -> np.ndarray:
+    """Return the (len(systems), k, m, m) stack of
+    G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S at the k points, with
+    2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde, in the Cayley form
+    4 (2I + F(s))^{-1} S - S that Woodbury gives, where
+    F(s) = B diag(1 / (s + i lambda_j / 2)) B^dag, B = k_tilde W and
+    r_tilde = W diag(lambda) W^dag: one stacked Hermitian eigendecomposition
+    for all systems, then per point an O(n m^2) product and one m x m
+    solve.  The outer products of the columns of B are formed once per
+    system, so F at all points is one (k, n) @ (n, m^2) product."""
     k_tilde, r_tilde = (np.array(x) for x in zip(*(x._reduction for x in systems)))
-    s = np.array([x.s for x in systems])
-    k_dag = np.swapaxes(k_tilde, -1, -2).conj()
-    return -0.5j * r_tilde - 0.5 * (k_dag @ k_tilde), k_dag @ s, -k_tilde, s
+    s = np.array([x.s for x in systems])[:, None]
+    lam, w = np.linalg.eigh(r_tilde)
+    b = np.swapaxes(k_tilde @ w, 1, 2)
+    count, n, m = b.shape
+    outer = (b[..., :, None] * b[..., None, :].conj()).reshape(count, n, m * m)
+    f = (1.0 / (points[:, None] + 0.5j * lam[:, None, :])) @ outer
+    x = np.linalg.solve(f.reshape(count, len(points), m, m) + 2.0 * np.eye(m), s)
+    return 4.0 * x - s
 
 
 def _in_annihilation_variables(sys: SlhSystem, eps) -> bool:
@@ -172,21 +181,28 @@ def certify_equivalence(
     when both drifts are zero; |A|_max = 2 |R + Im(K^dag K)|_max, as Theta is
     a signed permutation.  There is no unit floor on the scale, so samples
     sit among the poles at every scale of the systems, which were checked
-    when they were made.  G is evaluated at all samples in one stacked solve
-    over the pair, by one of two routes:
+    when they were made.  G is evaluated at all samples for both systems of
+    the pair at once, by one of two routes:
 
     - Passive pair: when both systems drop at most eps = tol/100 of |K|_max
       and |R|_max, relative and with no floor, on reduction to annihilation
       variables, and R is symmetric to the same eps,
       G(s) = diag(G_-(s), G_-(conj s)^#) with
-      G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S, n x n solves in
-      place of 2n x 2n.  The numerical range of 2M = -(i/2) r_tilde -
-      (1/2) k_tilde^dag k_tilde lies in Re <= 0 and every sample has
-      Re s >= scale/2, so no sample can fall near the spectrum and none is
-      tested against it.
+      G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S in its Cayley form
+      4 (2I + F(s))^{-1} S - S, F(s) = B diag(1 / (s + i lambda_j / 2)) B^dag
+      with B = k_tilde W and r_tilde = W diag(lambda) W^dag: one Hermitian
+      eigendecomposition per system and one m x m solve per sample (see
+      _passive_values).  Every sample has Re s >= scale/2 > 0, so each
+      s + i lambda_j / 2 is nonzero and F + F^dag is positive semidefinite,
+      hence |(2I + F)^{-1}|_2 <= 1/2 at every scale: no sample can sit near
+      a pole, and none is tested against a spectrum.  The eigendecomposition
+      reads only the lower triangle of r_tilde.  That drops nothing when R
+      is exactly symmetric, as the strided reduction then gives an exactly
+      Hermitian r_tilde, and otherwise only the asymmetry of R, which this
+      route's condition bounds by eps |R|_max.
     - Any other pair: G(s) = Cd (sI - A)^{-1} B + Dd on the 2n x 2n
-      quadrature state space, and samples within 1e-6*scale of either drift
-      spectrum are rejected and redrawn.
+      quadrature state space, one stacked solve over the pair, and samples
+      within 1e-6*scale of either drift spectrum are rejected and redrawn.
 
     The check is probabilistic: G has McMillan degree up to 2n, and
     agreement at the sampled points (and at infinity, through the D term)
@@ -207,15 +223,13 @@ def certify_equivalence(
     rng = np.random.default_rng(seed)
     eps = tol / 100.0
     if all(_in_annihilation_variables(x, eps) for x in systems):
-        spaces = _mode_spaces(systems)
         points = _draw(rng, n_samples, scale)
-        points = np.concatenate([points, points.conj()])
+        v1, v2 = _passive_values(systems, np.concatenate([points, points.conj()]))
     else:
         pair = [(ss.a, ss.b, ss.c, ss.d) for ss in map(build_state_space, systems)]
         spectrum = np.concatenate([np.linalg.eigvals(a) for a, _, _, _ in pair])
         points = _accepted_points(rng, n_samples, scale, spectrum)
-        spaces = (np.array(mats) for mats in zip(*pair))
-    v1, v2 = _evaluate(*spaces, points)
+        v1, v2 = _evaluate(*(np.array(mats) for mats in zip(*pair)), points)
     # a passive sample i is G_-(s_i) and G_-(conj s_i)^#; the conjugate moves no max-norm
     mismatch = stack_max(v1 - v2).reshape(-1, n_samples).max(axis=0)
     size = stack_max(v1).reshape(-1, n_samples).max(axis=0)

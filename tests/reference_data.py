@@ -133,6 +133,38 @@ def identity_system(m):
     )
 
 
+def leaning_passive_data():
+    """The JSON data of a passive document whose R_tilde, with
+    R_tilde[0][1] = (1 + i)/sqrt(2), R_tilde[1][0] its conjugate plus 0.9e-9
+    and 0.5 on the diagonal, is non-Hermitian by 0.9e-9 of its largest
+    modulus but by 1.27e-9 of its largest real or imaginary part, which is
+    the scale of the symmetry of its R."""
+    h = 1.0 / np.sqrt(2.0)
+    return {
+        "schema_version": "1",
+        "form": "passive",
+        "n": 2,
+        "m": 1,
+        "S": [[[1.0, 0.0]]],
+        "K_tilde": [[[1.0, 0.0], [0.5, 0.0]]],
+        "R_tilde": [[[0.5, 0.0], [h, h]], [[h + 0.9e-9, -h], [0.5, 0.0]]],
+    }
+
+
+def series_fold(stages):
+    """(S, K, R) of the series product folded over the stages, input end
+    first, as plain arrays, so that nothing is judged: each step feeds the
+    chain so far, (S1, K1, R1), into the next stage (S2, K2, R2), giving
+    S = S2 S1, K = [S2 K1  K2] and R = [[R1, C^T], [C, R2]] with
+    C = Im(K2^dag S2 K1)."""
+    s, k, r = stages[0].s, stages[0].k, stages[0].r
+    for g in stages[1:]:
+        coupling = np.imag(g.k.conj().T @ g.s @ k)
+        r = np.block([[r, coupling.T], [coupling, g.r]])
+        s, k = g.s @ s, np.hstack([g.s @ k, g.k])
+    return s, k, r
+
+
 def concatenation(g1, g2):
     """Side-by-side composition: block-diagonal S, K, R with no interaction.
     The result acts on x = (x_g1, x_g2) and m = m1 + m2 independent fields."""

@@ -93,6 +93,14 @@ class TestCheck:
         code, payload = run_cli(capsys, "check", str(path))
         assert code == 1 and payload["kind"] == "parse"
 
+    def test_non_hermitian_r_tilde_is_named(self, capsys, tmp_path):
+        # the fault is reported at R_tilde, which the document holds
+        path = tmp_path / "leaning.json"
+        path.write_text(json.dumps(ref.leaning_passive_data()))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 1 and payload["kind"] == "parse"
+        assert payload["error"].startswith("$.R_tilde: R_tilde must be Hermitian")
+
     def test_integer_beyond_binary64_is_parse_error(self, capsys, tmp_path, cascade_doc):
         _, _, doc = cascade_doc
         data = json.loads(doc.dumps())

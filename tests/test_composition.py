@@ -1,6 +1,7 @@
 """Concatenation, series product, cascade collapse, residual interaction."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cascade_synth import (
     residual_interaction,
     series,
 )
-from cascade_synth.model import _stages
+from cascade_synth.model import DEFAULT_TOL, _stages
 from cascade_synth.sampling import random_chain, random_passive_system, random_system
 
 import reference_data as ref
@@ -171,6 +172,24 @@ class TestCascade:
         chain = random_chain(n, m, seed)
         folded = functools.reduce(lambda acc, g: series(g, acc), chain.stages)
         assert_systems_close(cascade(chain), folded, 1e-12)
+
+    def test_stages_at_the_unitarity_bound_collapse(self):
+        # each stage's |S^dag S - I|_max is 8.0e-10, within DEFAULT_TOL; the
+        # product's adds up to 2.4e-9, and the collapse is not judged again
+        chain = random_chain(3, 2, 8)
+        stages = tuple(SlhSystem(s=(1 + 4e-10) * np.eye(2), k=g.k, r=g.r) for g in chain.stages)
+        assert all(0.7e-9 < g._defects[0] <= DEFAULT_TOL for g in stages)
+        combined = cascade(CascadeChain(stages=stages))
+        assert 2.3e-9 < combined._defects[0] < 2.5e-9
+        with pytest.raises(NonUnitaryScattering):
+            SlhSystem(*arrays(combined))
+        s, k, r = ref.series_fold(stages)
+        folded = functools.reduce(lambda acc, g: series(g, acc), stages)
+        assert_systems_close(folded, SimpleNamespace(s=s, k=k, r=r), 1e-12)
+        assert max_abs(combined.s - s) <= 1e-12 and max_abs(combined.k - k) <= 1e-12
+        # cascade's couplings take the stage scatterings as unitary, so they
+        # differ from the fold's by up to the stages' unitarity residuals
+        assert max_abs(combined.r - r) <= 3 * DEFAULT_TOL * max_abs(r)
 
     @given(st.integers(1, 7), st.integers(1, 4), seeds)
     @settings(max_examples=25, deadline=None)

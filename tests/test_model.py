@@ -381,7 +381,7 @@ class TestSymmetryScale:
         bent = np.array(r_tilde)
         bent[0, 1] += 0.1 * max_abs(r_tilde)
         with pytest.raises(NonHermitianRtilde):
-            PassiveForm(r_tilde=bent, k_tilde=k_tilde).validate()
+            from_passive_form(PassiveForm(r_tilde=bent, k_tilde=k_tilde), np.eye(1))
 
     @pytest.mark.parametrize("c", SCALES)
     def test_symmetry(self, c):
@@ -399,7 +399,7 @@ class TestSymmetryScale:
         zero = SlhSystem(s=np.eye(1), k=np.zeros((1, 2)), r=np.zeros((2, 2)))
         assert zero._defects == (0.0, 0.0)
         pf = PassiveForm(r_tilde=np.zeros((2, 2)), k_tilde=np.zeros((1, 2)))
-        assert pf.validate() is pf
+        assert from_passive_form(pf, np.eye(1))._defects == (0.0, 0.0)
 
 
 def zero_mode_system(seed):
@@ -598,5 +598,17 @@ class TestPassiveFormMaps:
             r_tilde=np.array([[1.0, 1.0j], [1.0j, 1.0]]),
             k_tilde=np.zeros((1, 2), complex),
         )
+        with pytest.raises(NonHermitianRtilde):
+            from_passive_form(pf, np.eye(1, dtype=complex))
+
+    def test_hermiticity_is_the_symmetry_of_r(self):
+        # one judge at one scale: R_tilde is Hermitian to 0.9e-9 of its
+        # largest modulus, but R = realify(R_tilde)/4 is symmetric only to
+        # 1.27e-9 of its largest entry
+        data = ref.leaning_passive_data()
+        r_tilde = ref.decode_complex_matrix(data["R_tilde"], 2, 2)
+        k_tilde = ref.decode_complex_matrix(data["K_tilde"], 1, 2)
+        assert max_abs(r_tilde - r_tilde.conj().T) <= 1e-9 * max_abs(r_tilde)
+        pf = PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde)
         with pytest.raises(NonHermitianRtilde):
             from_passive_form(pf, np.eye(1, dtype=complex))

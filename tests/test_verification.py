@@ -30,7 +30,7 @@ from cascade_synth.sampling import (
     random_unitary,
 )
 from cascade_synth import verification
-from cascade_synth.verification import _evaluate, _mode_spaces
+from cascade_synth.verification import _evaluate, _passive_values
 
 import reference_data as ref
 
@@ -119,6 +119,12 @@ class TestCertifyEquivalence:
         assert report.tolerance == 1e-8
         assert report.seed == 0
 
+    @pytest.mark.parametrize("n, m", [(3, 2), (64, 4)])
+    def test_passive_system_equals_itself_exactly(self, n, m):
+        sys = random_passive_system(n, m, 1)
+        report = certify_equivalence(sys, sys)
+        assert report.verdict and report.max_rel_mismatch == 0.0
+
     def test_no_fields_is_vacuous_on_both_routes(self):
         # 0 x 0 transfer functions agree for any two systems with the same n
         pairs = {
@@ -133,18 +139,16 @@ class TestCertifyEquivalence:
         for sys in (random_passive_system(3, 1, 1), random_system(3, 1, 1)):
             assert certify_equivalence(sys, sys).vacuous is False
 
-    def test_pair_mode_spaces_match_each_system(self):
-        # the pair's state spaces are formed in one stacked pass, bit for bit
-        # the per-system formula
-        for n, m in ((1, 1), (4, 2), (6, 4), (3, 0)):
+    def test_pair_values_match_each_system(self):
+        # the pair is evaluated in one stacked pass, bit for bit the values
+        # of each system on its own
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0.5, 2.0, 6) + 1j * rng.uniform(-2.0, 2.0, 6)
+        for n, m in ((1, 1), (4, 2), (6, 4), (3, 0), (0, 2), (64, 4)):
             pair = [random_passive_system(n, m, seed) for seed in (n, n + 1)]
-            stacked = _mode_spaces(pair)
+            values = _passive_values(pair, points)
             for i, sys in enumerate(pair):
-                k_tilde, r_tilde = sys._reduction
-                k_dag = k_tilde.conj().T
-                single = (-0.5j * r_tilde - 0.5 * (k_dag @ k_tilde), k_dag @ sys.s, -k_tilde, sys.s)
-                for a, b in zip(stacked, single):
-                    assert a[i].tobytes() == b.tobytes()
+                assert values[i].tobytes() == _passive_values([sys], points)[0].tobytes()
 
     def test_reference_against_printed_realization(self, reference_system):
         printed = SlhSystem(
@@ -224,18 +228,20 @@ class TestCertifyEquivalence:
             certify_equivalence(sys, other)
 
 
+def scaled_form(pf, c):
+    """pf with R_tilde scaled by c and K_tilde by sqrt(c)."""
+    return PassiveForm(r_tilde=c * pf.r_tilde, k_tilde=np.sqrt(c) * pf.k_tilde)
+
+
 def scaled_passive(seed, c, s):
     """A passive 6-mode system with R_tilde scaled by c and K_tilde by sqrt(c)."""
-    pf = random_passive_form(6, 3, seed)
-    return from_passive_form(
-        PassiveForm(r_tilde=c * pf.r_tilde, k_tilde=np.sqrt(c) * pf.k_tilde), s
-    )
+    return from_passive_form(scaled_form(random_passive_form(6, 3, seed), c), s)
 
 
 def passive_route_values(sys, points):
     """The doubled-up G that the passive route builds, diag(G_-(s), G_-(conj s)^#)."""
     both = np.concatenate([points, points.conj()])
-    minus = _evaluate(*_mode_spaces([sys]), both).reshape(2, len(points), sys.m, sys.m)
+    minus = _passive_values([sys], both)[0].reshape(2, len(points), sys.m, sys.m)
     values = np.zeros((len(points), 2 * sys.m, 2 * sys.m), dtype=complex)
     values[:, : sys.m, : sys.m] = minus[0]
     values[:, sys.m :, sys.m :] = minus[1].conj()
@@ -284,6 +290,46 @@ class TestCertificationRoutes:
             report = certify_equivalence(a, b, n_samples=5)
             assert report.verdict and report.max_rel_mismatch == 0.0
             assert report.samples_used == 5
+
+
+def annihilation_oracle(pf, s, points):
+    """G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S one point at a time,
+    with 2-d solves, for 2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde."""
+    k_tilde, k_dag = pf.k_tilde, pf.k_tilde.conj().T
+    two_m = -0.5j * pf.r_tilde - 0.5 * k_dag @ k_tilde
+    eye = np.eye(pf.n)
+    return np.array([s - k_tilde @ np.linalg.solve(p * eye - two_m, k_dag @ s) for p in points])
+
+
+class TestPassiveKernel:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 64])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_matches_loop_oracle(self, n, m):
+        # at every scale, with repeated eigenvalues of R_tilde and without;
+        # |G_-| <= 1, so the bound is absolute
+        rng = np.random.default_rng(10 * n + m)
+        for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for degenerate in (False, True):
+                pf = scaled_form(random_passive_form(n, m, rng, degenerate=degenerate), c)
+                sys = from_passive_form(pf, random_unitary(m, rng))
+                points = verification._draw(rng, 6, verification._drift_max(sys) or 1.0)
+                points = np.concatenate([points, points.conj()])
+                values = _passive_values([sys], points)[0]
+                assert values.shape == (12, m, m)
+                assert max_abs(values - annihilation_oracle(pf, sys.s, points)) <= 1e-12
+
+    @given(st.integers(0, 6), st.integers(1, 4), seeds, st.floats(-8.0, 8.0))
+    @settings(max_examples=40, deadline=None)
+    def test_bounded_real(self, n, m, seed, log_c):
+        # a passive G_- is bounded-real: |G_-(s)|_2 <= 1 wherever Re s > 0
+        rng = np.random.default_rng(seed)
+        c = 10.0**log_c
+        pf = scaled_form(random_passive_form(n, m, rng), c)
+        sys = from_passive_form(pf, random_unitary(m, rng))
+        sigma = 10.0 ** rng.uniform(-3.0, 1.0, 16)
+        points = c * (sigma + 1j * rng.uniform(-4.0, 4.0, 16))
+        values = _passive_values([sys], points)[0]
+        assert np.linalg.norm(values, 2, axis=(1, 2)).max() <= 1.0 + 1e-12
 
 
 def evaluate_oracle(a, b, c, d, points):

@@ -11,6 +11,7 @@ the CASCADE_SYNTH_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -52,16 +53,23 @@ def _emit(obj) -> None:
 
 
 def _resolve_tol(args, fallback=DEFAULT_TOL) -> float:
+    """The tolerance of --tol, else of CASCADE_SYNTH_TOL, else fallback.  A
+    tolerance that is not a finite number at least 0 bounds nothing, so it
+    is an input error that names where it came from."""
     tol = getattr(args, "tol", None)
-    if tol is not None:
-        return tol
-    env = os.environ.get("CASCADE_SYNTH_TOL")
-    if env is None:
-        return fallback
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise ParseError(f"CASCADE_SYNTH_TOL is not a number: {env!r}") from exc
+    source = "--tol"
+    if tol is None:
+        env = os.environ.get("CASCADE_SYNTH_TOL")
+        if env is None:
+            return fallback
+        source = "CASCADE_SYNTH_TOL"
+        try:
+            tol = float(env)
+        except ValueError as exc:
+            raise ParseError(f"CASCADE_SYNTH_TOL is not a number: {env!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{source} must be a finite number at least 0, got {tol!r}")
+    return tol
 
 
 def _load_document(path) -> SystemDocument:
@@ -231,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="construct and certify a cascade realization of a passive system",
     )
     realize.add_argument("path", help="system document (JSON)")
+    realize.add_argument("--tol", type=float, default=None, help="structural tolerance")
     realize.add_argument("--out", default=None, help="write the realization document here")
     realize.add_argument("--seed", type=int, default=0, help="equivalence sampling seed")
     realize.set_defaults(func=cmd_passive_realize)

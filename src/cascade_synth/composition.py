@@ -19,10 +19,8 @@ from .model import (
     SlhSystem,
     _as_real,
     _readonly,
-    _sigma,
     _stages,
     _unchecked,
-    max_abs,
     pair_blocks,
 )
 
@@ -171,24 +169,28 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     stacks, and the stages are read-only views into them, checked in one
     pass (see model._stages): stage 0's unitarity residual is that of S and
     the identity's is exactly 0, and each stage's R is judged symmetric at
-    its own |R|_max.  Each stage is judged passive at the scale sigma of
-    sys.  What a stage drops is part of what sys drops, so every stage of a
-    passive system is passive, a stage that is zero up to the rounding of
-    sys included; judged at its own scale, such a stage would fail.
+    its own |R|_max.  What a stage drops on reduction to annihilation
+    variables, and the norms it is measured against, are its slice of
+    sys's one measuring pass (SlhSystem._per_mode): entry j of the column
+    pair arrays and diagonal entry (j, j) of the block arrays, so sys is
+    measured once and the stages are not measured again.  Each stage is
+    judged passive at the scale sigma of sys.  What a stage drops is part
+    of what sys drops, so every stage of a passive system is passive, a
+    stage that is zero up to the rounding of sys included; judged at its
+    own scale, such a stage would fail.
     """
     n, m = sys.n, sys.m
+    sigma = sys._passivity[2]
+    k_defect, r_defect, k_max, r_max = sys._per_mode
     s = np.empty((n, m, m), dtype=complex)
     s[:] = np.eye(m)
     s[:1] = sys.s
     # (n, m, 2) column pairs of K and (n, 2, 2) diagonal blocks of R
     k = np.array(sys.k.reshape(m, n, 2).swapaxes(0, 1))
     r = np.array(pair_blocks(sys.r).diagonal().transpose(2, 0, 1))
-    sigma = _sigma(max_abs(sys.r), max_abs(sys.k))
-    stages = _stages(s, k, r, [sys._defects[0]] + [0.0] * (n - 1))
-    for stage in stages:
-        k_defect, r_defect = stage._dropped[:2]
-        stage.__dict__["_passivity"] = (k_defect, r_defect, sigma)
-    return stages
+    unitarity = [sys._defects[0]] + [0.0] * (n - 1)
+    dropped = (k_defect, r_defect.diagonal(), k_max, r_max.diagonal())
+    return _stages(s, k, r, unitarity, dropped, sigma)
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:

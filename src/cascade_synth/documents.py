@@ -30,6 +30,7 @@ from .model import (
     RealMatrix,
     SlhSystem,
     _as_real,
+    _mode_measures,
     _readonly,
     _stages,
     from_passive_form,
@@ -323,9 +324,10 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
     """Decode the stage objects of a realization document, every stage at
     the field count m of stage 0.  Each of S, K and R is converted and
     checked for all stages at once, and the stages are read-only views into
-    those stacks, judged in one pass (model._stages); a stage that is not a
-    system is a ParseError at $.stages.  Each is still judged passive at its
-    own scale.  Stages that fail the decoding checks are walked by
+    those stacks, measured by the formula that measures a system mode by
+    mode (model._mode_measures) and judged in one pass (model._stages); a
+    stage that is not a system is a ParseError at $.stages.  Each is still
+    judged passive at its own scale.  Stages that fail the decoding checks are walked by
     _locate_stages to name the fault."""
     for i, entry in enumerate(entries):
         path = f"$.stages[{i}]"
@@ -342,8 +344,9 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
     s, k = (_readonly(a).view(complex)[..., 0] for a in (s, k))
     with np.errstate(over="ignore", invalid="ignore"):
         unitarity = stack_max(s.conj().swapaxes(1, 2) @ s - np.eye(m))
+        dropped = [x.ravel() for x in _mode_measures(k, r)]
     try:
-        return _stages(s, k, r, unitarity.tolist())
+        return _stages(s, k, r, unitarity.tolist(), dropped)
     except (NonUnitaryScattering, NonSymmetricR) as exc:
         raise ParseError(str(exc), "$.stages") from None
 

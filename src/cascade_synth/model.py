@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,9 +28,6 @@ RealMatrix = NDArray[np.floating]
 
 DEFAULT_TOL = 1e-9
 
-_FLIP = np.array([1.0, -1.0])
-
-
 def max_abs(a) -> float:
     """Max-norm of a matrix (0 for empty arrays)."""
     return float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
@@ -41,25 +38,32 @@ def stack_max(a) -> np.ndarray:
     return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
 
 
-def dropped_parts(k, r):
-    """For stacks k (..., m, 2n) and r (..., 2n, 2n) of couplings and
-    Hamiltonians, return the arrays (k_defect, r_defect, |K|_max, |R|_max)
-    over the stack: the max-norms of what the reduction to annihilation
-    variables drops, K - k_tilde Sigma, which is
-    |K Sigma^T|_max = |K[:, 0::2] + i K[:, 1::2]|_max / 2, and
-    R - Re(Sigma^dag r_tilde Sigma), which is
-    max(|R_qq - R_pp|, |R_qp + R_pq|) / 2, next to the norms they are
-    measured against."""
-    n = r.shape[-1] // 2
-    # row q of each 2x2 block of R is (R_qq, R_qp), row p reversed is
-    # (R_pp, R_pq), so one difference holds R_qq - R_pp and R_qp + R_pq
-    blocks = r.reshape(r.shape[:-2] + (n, 2, n, 2))
-    r_dropped = blocks[..., 0, :, :] - blocks[..., 1, :, ::-1] * _FLIP
+def _quarters(r):
+    """The strided quarters (R_qq, R_qp, R_pq, R_pp) of a stack r
+    (..., 2n, 2n): entry (j, l) of R_qp is the (q_j, p_l) entry of R, so each
+    quarter holds one entry of every 2x2 block."""
+    return r[..., 0::2, 0::2], r[..., 0::2, 1::2], r[..., 1::2, 0::2], r[..., 1::2, 1::2]
+
+
+def _mode_measures(k, r):
+    """Measure couplings k (..., m, 2n) and Hamiltonians r (..., 2n, 2n)
+    mode by mode: what the reduction to annihilation variables drops, and
+    the norm it is measured against.  Return the arrays (k_defect,
+    r_defect, k_max, r_max): per column pair j, shape (..., n), the
+    max-norm of column j of K Sigma^T, |K[:, 2j] + i K[:, 2j+1]|_max / 2,
+    and |K_j|_max; per 2x2 block (j, l), shape (..., n, n), the max-norm of
+    block (j, l) of R - Re(Sigma^dag r_tilde Sigma),
+    max(|R_qq - R_pp|, |R_qp + R_pq|) / 2, and |R_jl|_max.  One system has
+    no leading axes and a stack of n one-mode stages has (n,), so one
+    formula measures both; the maxima of the arrays are the system's."""
+    qq, qp, pq, pp = _quarters(r)
+    k_size, r_size = np.abs(k), np.abs(r)
+    r_size = np.maximum(r_size[..., 0::2, :], r_size[..., 1::2, :])
     return (
-        stack_max(k[..., 0::2] + 1j * k[..., 1::2]) / 2.0,
-        np.maximum.reduce(np.abs(r_dropped), axis=(-3, -2, -1), initial=0.0) / 2.0,
-        stack_max(k),
-        stack_max(r),
+        np.maximum.reduce(np.abs(k[..., 0::2] + 1j * k[..., 1::2]), axis=-2, initial=0.0) / 2.0,
+        np.maximum(np.abs(qq - pp), np.abs(qp + pq)) / 2.0,
+        np.maximum.reduce(np.maximum(k_size[..., 0::2], k_size[..., 1::2]), axis=-2, initial=0.0),
+        np.maximum(r_size[..., 0::2], r_size[..., 1::2]),
     )
 
 
@@ -127,6 +131,15 @@ def _readonly(a):
     return a
 
 
+@lru_cache(maxsize=16)
+def _upper_blocks(n):
+    """The read-only mask of the entries of a 2n x 2n matrix that lie in its
+    2x2 blocks strictly above the block diagonal, kept per n: SlhSystem._drift
+    reads the triangularity residual through it."""
+    mode = np.arange(2 * n) // 2
+    return _readonly(mode[None, :] > mode[:, None])
+
+
 def _as_matrix(value, dtype, name):
     """A read-only copy of value as a 2-d array of dtype with finite
     entries.  The copy is made once, here, so no one else can write to it."""
@@ -166,12 +179,14 @@ class SlhSystem:
     symmetric (see _judge), so every SlhSystem is a system and no consumer
     checks one again.  Each array is copied once on construction and
     locked, so the structural quantities (the residuals _judge bounds, the
-    drift and its triangularity residual, the reduction to annihilation
-    variables and what it drops) are computed once per system and every
-    check compares them against its own tolerance; a drift or passivity
-    scale that is not finite raises OverflowError.  Systems the pipeline
-    builds from checked values skip the constructor: the stages of _stages
-    are read-only views into locked stacks, judged in one pass over them,
+    triangularity residual and scale of the drift, the reduction to
+    annihilation variables, and what it drops, measured mode by mode) are
+    computed once per system and every check compares them against its own
+    tolerance; a drift or passivity scale that is not finite raises
+    OverflowError.  Systems the pipeline builds from checked values skip
+    the constructor: the stages of _stages are read-only views into locked
+    stacks, judged in one pass over them and measured by their slice of a
+    measuring pass,
     the transformed system of passive_realize holds the arrays it computed,
     locked, and so do the compositions of series and cascade, whose
     unitarity residual can add up those of their parts.
@@ -218,13 +233,16 @@ class SlhSystem:
             return max_abs(s.conj().T @ s - np.eye(self.m)), max_abs(r - r.T)
 
     @cached_property
-    def _drift(self) -> tuple[RealMatrix, float, float]:
-        """(A, the max-norm of its 2x2 blocks strictly above the block
-        diagonal, |A|_max) for the drift A of drift_matrix (see _finite)."""
+    def _drift(self) -> tuple[float, float]:
+        """(the max-norm of the 2x2 blocks strictly above the block diagonal
+        of the drift A of drift_matrix, |A|_max), read from
+        X = R + Im(K^dag K) without forming A = 2 Theta X: Theta swaps and
+        negates the rows of each mode's pair and the factor 2 is exact, so
+        both are exactly twice those of X (see _finite)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            a = _readonly(drift_matrix(self))
-        scale = _finite(max_abs(a), "|A|_max of the drift")
-        return a, max_abs(pair_blocks(a)[~np.tri(self.n, dtype=bool)]), scale
+            x = self.r + np.imag(self.k.conj().T @ self.k)
+        scale = _finite(2.0 * max_abs(x), "|A|_max of the drift")
+        return 2.0 * max_abs(x[_upper_blocks(self.n)]), scale
 
     @cached_property
     def _reduction(self) -> tuple[ComplexMatrix, ComplexMatrix]:
@@ -233,17 +251,25 @@ class SlhSystem:
         i K[:, 1::2], and r_tilde = 8 Sigma R Sigma^dag is
         2 (R_qq + R_pp) + 2i (R_pq - R_qp) on the four strided quarters of R
         (R_qp = R[0::2, 1::2], and so on)."""
-        k, r = self.k, self.r
-        qq, qp, pq, pp = r[0::2, 0::2], r[0::2, 1::2], r[1::2, 0::2], r[1::2, 1::2]
+        k = self.k
+        qq, qp, pq, pp = _quarters(self.r)
         return (
             _readonly(k[:, 0::2] - 1j * k[:, 1::2]),
             _readonly(2.0 * (qq + pp) + 2j * (pq - qp)),
         )
 
     @cached_property
+    def _per_mode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """_mode_measures of (K, R): per column pair of K and per 2x2 block
+        of R, what the reduction to annihilation variables drops and the
+        max-norm it is measured against.  The one measuring pass of a
+        system; one_mode_stages hands each stage its slice."""
+        return _mode_measures(self.k, self.r)
+
+    @cached_property
     def _dropped(self) -> tuple[float, float, float, float]:
-        """(k_defect, r_defect, |K|_max, |R|_max) of dropped_parts."""
-        return tuple(float(x[0]) for x in dropped_parts(self.k[None], self.r[None]))
+        """(k_defect, r_defect, |K|_max, |R|_max), the maxima of _per_mode."""
+        return tuple(float(np.maximum.reduce(x, axis=None, initial=0.0)) for x in self._per_mode)
 
     @cached_property
     def _passivity(self) -> tuple[float, float, float]:
@@ -275,27 +301,32 @@ def _judge(unitarity, asymmetry, r_max, where="") -> None:
         raise NonSymmetricR(f"{where}R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}")
 
 
-def _stages(s, k, r, unitarity) -> tuple[SlhSystem, ...]:
+def _stages(s, k, r, unitarity, dropped, sigma=None) -> tuple[SlhSystem, ...]:
     """The one-mode systems (s[j], k[j], r[j]) of the stacks s (count, m, m)
     and k (count, m, 2) of complex and r (count, 2, 2) of real entries, which
     the caller made from finite values and holds alone.  The stacks are
     locked here, and each stage's arrays are read-only views into them.
 
-    The residuals _judge bounds and what each stage drops on reduction to
-    annihilation variables, with its |K|_max and |R|_max, are measured in
-    one pass over the stacks; unitarity lists the stages' unitarity
-    residuals, which the caller knows or measures over s.  Each stage is
-    judged at its own |R|_max, lowest first, and the first that fails is
-    named in the error, "stage j: ..."."""
+    The caller knows or measures what the stages drop on reduction to
+    annihilation variables: dropped holds the arrays (k_defect, r_defect,
+    |K|_max, |R|_max) over the stages, of _mode_measures, and unitarity
+    their unitarity residuals.  The asymmetry of each R is one strided
+    difference over the stack.  Each stage is judged at its own |R|_max,
+    lowest first, and the first that fails is named in the error,
+    "stage j: ...".  sigma, when given, is the scale each stage is judged
+    passive at; else each is judged at its own when asked."""
     s, k, r = _readonly(s), _readonly(k), _readonly(r)
-    stages = tuple(_unchecked(SlhSystem, s=s[j], k=k[j], r=r[j]) for j in range(len(r)))
     with np.errstate(over="ignore", invalid="ignore"):
-        asymmetry = stack_max(r - r.swapaxes(1, 2)).tolist()
-        dropped = zip(*(x.tolist() for x in dropped_parts(k, r)))
-    for j, (stage, u, a, d) in enumerate(zip(stages, unitarity, asymmetry, dropped)):
+        asymmetry = np.abs(r[:, 0, 1] - r[:, 1, 0]).tolist()
+    measured = zip(*(x.tolist() for x in dropped))
+    stages = []
+    for j, (sj, kj, rj, u, a, d) in enumerate(zip(s, k, r, unitarity, asymmetry, measured)):
         _judge(u, a, d[3], f"stage {j}: ")
-        stage.__dict__.update(_defects=(u, a), _dropped=d)
-    return stages
+        stage = _unchecked(SlhSystem, s=sj, k=kj, r=rj, _defects=(u, a), _dropped=d)
+        if sigma is not None:
+            stage.__dict__["_passivity"] = (d[0], d[1], sigma)
+        stages.append(stage)
+    return tuple(stages)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,9 +428,13 @@ def build_state_space(sys: SlhSystem) -> DoubledStateSpace:
     Cd = [K; K^#],  Dd = diag(S, S^#).  A is real by construction since
     Im(.) is taken entrywise; B satisfies B^# = B P where P swaps its two
     column halves, mirroring the conjugate structure of the doubled fields.
-    The system was checked when it was made, so nothing is checked here.
+    The system was checked when it was made, so nothing is checked here
+    but the scale of the drift (SlhSystem._drift), before A is formed.  A is
+    formed here only, for the general route of certify_equivalence and for
+    transfer_function.
     """
-    a = sys._drift[0]
+    sys._drift  # OverflowError when |A|_max is not finite
+    a = drift_matrix(sys)
     b = 2j * theta_times(np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()]))
     c = np.vstack([sys.k, sys.k.conj()])
     d = block_diag(sys.s, sys.s.conj())

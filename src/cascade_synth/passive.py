@@ -111,6 +111,35 @@ def _no_sort(_):
     return None
 
 
+# (zgees, {matrix order: the workspace size it asked for}) of the last
+# zgees that schur_lower called
+_workspace: tuple = (None, {})
+
+
+def _raise_for(info) -> None:
+    if info < 0:
+        raise ValueError(f"zgees rejected its argument {-info}")
+    if info > 0:
+        raise ConvergenceFailure(f"Schur iteration failed to converge (zgees info={info})")
+
+
+def _lwork(zgees, m) -> int:
+    """The workspace size zgees asks for at the order of m, queried once per
+    order: the answer depends on the order alone.  The sizes belong to the
+    zgees that gave them, and a call with another zgees starts afresh, so no
+    size outlives its zgees."""
+    global _workspace
+    owner, sizes = _workspace
+    if owner is not zgees:
+        _workspace = owner, sizes = zgees, {}
+    n = m.shape[0]
+    if n not in sizes:
+        *_, work, info = zgees(_no_sort, m, compute_v=1, sort_t=0, lwork=-1, overwrite_a=0)
+        _raise_for(info)
+        sizes[n] = int(work[0].real)
+    return sizes[n]
+
+
 def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
     """Factor M = U^dag M_hat U with M_hat lower triangular and U unitary,
     and return the pair (U, M_hat); the eigenvalues of M sit on diag(M_hat).
@@ -119,9 +148,10 @@ def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
     M = Z T Z^dag by conjugating with the antidiagonal permutation P:
     U = P Z^dag and M_hat = P T P, taken by reversing the order of rows and
     columns.  T and Z come from LAPACK zgees, called directly as
-    scipy.linalg.schur(M, output="complex") calls it (a workspace query,
-    then the factorization, no eigenvalue sorting), so the pair is the same
-    bit for bit; no command imports the scipy.linalg package.  M is never
+    scipy.linalg.schur(M, output="complex") calls it (the factorization
+    with the workspace its query asks for, no eigenvalue sorting), so the
+    pair is the same bit for bit; the query runs once per order of M (see
+    _lwork).  No command imports the scipy.linalg package.  M is never
     overwritten.  Raises ConvergenceFailure when the QR iteration fails.
     """
     m = np.asarray(m, dtype=complex)
@@ -132,15 +162,9 @@ def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
     if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
     zgees = _zgees()
-    *_, work, info = zgees(_no_sort, m, compute_v=1, sort_t=0, lwork=-1, overwrite_a=0)
-    if info == 0:
-        t, _, _, z, _, info = zgees(
-            _no_sort, m, compute_v=1, sort_t=0, lwork=int(work[0].real), overwrite_a=0
-        )
-    if info < 0:
-        raise ValueError(f"zgees rejected its argument {-info}")
-    if info > 0:
-        raise ConvergenceFailure(f"Schur iteration failed to converge (zgees info={info})")
+    lwork = _lwork(zgees, m)
+    t, _, _, z, _, info = zgees(_no_sort, m, compute_v=1, sort_t=0, lwork=lwork, overwrite_a=0)
+    _raise_for(info)
     # + 0.0 turns every zero into +0.0: conjugation leaves -0.0 in zero
     # imaginary parts, which V = realify(U) and the documents would carry
     return z.conj().T[::-1] + 0.0, t[::-1, ::-1] + 0.0

@@ -34,12 +34,13 @@ class TriangularityReport:
 
 def is_cascade_realizable(sys: SlhSystem, tol=DEFAULT_TOL) -> TriangularityReport:
     """Test whether the drift matrix is lower 2x2-block triangular.  The
-    drift and its residual are computed once per system, so a second call
-    on the same system, at any tolerance, only compares.  Raises ValueError
-    for a system with no modes, which has no cascade to test."""
+    residual and the scale are read once per system from R + Im(K^dag K),
+    without forming the drift (SlhSystem._drift), so a second call on the
+    same system, at any tolerance, only compares.  Raises ValueError for a
+    system with no modes, which has no cascade to test."""
     if sys.n == 0:
         raise ValueError("a system with no modes has no cascade")
-    _, residual, scale = sys._drift
+    residual, scale = sys._drift
     return TriangularityReport(
         is_triangular=residual <= tol * scale,
         max_upper_residual=residual,

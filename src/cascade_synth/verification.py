@@ -17,11 +17,11 @@ from .errors import OddDimension, ResolventSingular, ScatteringMismatch
 from .model import (
     DoubledStateSpace,
     SlhSystem,
-    _finite,
+    _as_real,
+    _unchecked,
     build_state_space,
     max_abs,
     stack_max,
-    theta_times,
 )
 from .passive import SymplecticTransform
 
@@ -141,20 +141,6 @@ def _draw(rng, count, scale) -> np.ndarray:
     return u.view(complex)[:, 0] * scale
 
 
-def _drift_max(sys: SlhSystem) -> float:
-    """|A|_max of the drift A = 2 Theta (R + Im(K^dag K)): read from the
-    drift when a triangularity test has formed it (Theta is a signed
-    permutation and the factor 2 is exact, so it is the same number), else
-    computed without forming A, and then OverflowError when it is not
-    finite, as SlhSystem._drift raises."""
-    drift = sys.__dict__.get("_drift")
-    if drift is not None:
-        return drift[2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = 2.0 * max_abs(sys.r + np.imag(sys.k.conj().T @ sys.k))
-    return _finite(scale, "|A|_max of the drift")
-
-
 def _accepted_points(rng, n_samples, scale, spectrum) -> np.ndarray:
     """The first n_samples drawn points that lie at least 1e-6*scale from
     every eigenvalue in spectrum."""
@@ -219,7 +205,7 @@ def certify_equivalence(
     if max_abs(g.s - g2.s) > tol:
         raise ScatteringMismatch("scattering matrices differ beyond tolerance")
     systems = (g, g2)
-    scale = max(_drift_max(x) for x in systems) or 1.0
+    scale = max(x._drift[1] for x in systems) or 1.0
     rng = np.random.default_rng(seed)
     eps = tol / 100.0
     if all(_in_annihilation_variables(x, eps) for x in systems):
@@ -256,22 +242,29 @@ def _relative_mismatch(g: SlhSystem, ref: SlhSystem) -> float:
 def certify_symplectic(v, tol: float = 1e-9) -> bool:
     """True when the real matrix V preserves the symplectic form within
     tolerance: its ccr_preservation residual |V Theta V^T - Theta|_max is at
-    most tol.  A non-finite V is an input error (ValueError)."""
-    if np.iscomplexobj(np.asarray(v)):
-        raise ValueError("V must be real")
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+    most tol.  V is copied and checked once; a non-finite V is an input
+    error (ValueError)."""
+    v = _as_real(v, "V")
+    if v.shape[0] != v.shape[1]:
         raise ValueError(f"V must be square, got {v.shape}")
     if v.shape[0] % 2:
         raise OddDimension(f"V must have even dimension, got {v.shape[0]}")
-    return ccr_preservation(SymplecticTransform(v=v)) <= tol
+    return ccr_preservation(_unchecked(SymplecticTransform, v=v)) <= tol
 
 
 def ccr_preservation(transform: SymplecticTransform) -> float:
     """Residual |V Theta V^T - Theta|_max of the transform x' = V x: zero
     exactly when the canonical commutation relations are preserved.
 
-    Computed as |Theta (V Theta V^T) + I|_max, which is the same number:
-    Theta is a signed permutation with Theta Theta = -I."""
+    With V_q = V[:, 0::2] and V_p = V[:, 1::2], the columns of the q and p
+    of each mode, V Theta V^T = V_q V_p^T - V_p V_q^T = P - P^T for the one
+    half-size product P = V_q V_p^T.  Theta is then subtracted on its two
+    strided diagonals, +1 at (2j, 2j+1) and -1 at (2j+1, 2j)."""
     v = transform.v
-    return max_abs(theta_times(v @ theta_times(v.T)) + np.eye(v.shape[0]))
+    p = v[:, 0::2] @ v[:, 1::2].T
+    d = p - p.T
+    flat = d.reshape(-1)
+    size = d.shape[0]
+    flat[1 :: 2 * size + 2] -= 1.0
+    flat[size :: 2 * size + 2] += 1.0
+    return max_abs(d)

@@ -260,3 +260,56 @@ def passivity_oracle(sys, tol, scale_of=None):
     scale_of = sys if scale_of is None else scale_of
     sigma = np.abs(scale_of.r).max(initial=0.0) + np.abs(scale_of.k).max(initial=0.0) ** 2
     return bool(k_defect <= tol * np.sqrt(sigma) and r_defect <= tol * sigma)
+
+
+def mode_measures_oracle(k, r):
+    """The per-mode measures of one system's K (m, 2n) and R (2n, 2n), entry
+    by entry: per column pair j, (max over fields of |K[f, 2j] + i K[f, 2j+1]| / 2,
+    max of |K[f, 2j]| and |K[f, 2j+1]|), and per 2x2 block (j, l),
+    (max(|R_qq - R_pp|, |R_qp + R_pq|) / 2, the largest |entry|), returned as
+    the arrays (k_defect, r_defect, k_max, r_max).  The K arrays take Python's
+    complex modulus, which may differ from numpy's in the last bit."""
+    n, m = r.shape[0] // 2, k.shape[0]
+    k_defect, k_max = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        for f in range(m):
+            q, p = complex(k[f, 2 * j]), complex(k[f, 2 * j + 1])
+            k_defect[j] = max(k_defect[j], abs(q + 1j * p) / 2.0)
+            k_max[j] = max(k_max[j], abs(q), abs(p))
+    r_defect, r_max = np.zeros((n, n)), np.zeros((n, n))
+    for j in range(n):
+        for l in range(n):
+            (qq, qp), (pq, pp) = r[2 * j : 2 * j + 2, 2 * l : 2 * l + 2].tolist()
+            r_defect[j, l] = max(abs(qq - pp), abs(qp + pq)) / 2.0
+            r_max[j, l] = max(abs(qq), abs(qp), abs(pq), abs(pp))
+    return k_defect, r_defect, k_max, r_max
+
+
+def dropped_parts(k, r):
+    """(k_defect, r_defect, |K|_max, |R|_max) over stacks k (..., m, 2n) and
+    r (..., 2n, 2n), in one vectorized pass over the whole of each matrix:
+    |K[:, 0::2] + i K[:, 1::2]|_max / 2, and the largest of R_qq - R_pp and
+    R_qp + R_pq over the rows of each 2x2 block, halved.  The maxima of the
+    per-mode measures must equal these bit for bit."""
+    n = r.shape[-1] // 2
+    blocks = r.reshape(r.shape[:-2] + (n, 2, n, 2))
+    r_dropped = blocks[..., 0, :, :] - blocks[..., 1, :, ::-1] * np.array([1.0, -1.0])
+    return (
+        np.maximum.reduce(np.abs(k[..., 0::2] + 1j * k[..., 1::2]), axis=(-2, -1), initial=0.0)
+        / 2.0,
+        np.maximum.reduce(np.abs(r_dropped), axis=(-3, -2, -1), initial=0.0) / 2.0,
+        np.maximum.reduce(np.abs(k), axis=(-2, -1), initial=0.0),
+        np.maximum.reduce(np.abs(r), axis=(-2, -1), initial=0.0),
+    )
+
+
+def defective_passive_form(n, w):
+    """A passive (R_tilde, K_tilde) whose mode matrix is -J/4 rotated by the
+    unitary w, for the Jordan block J = 1.5 I + N (N the upper shift): the
+    Hermitian part (J + J^dag)/2 is positive definite and becomes
+    K_tilde^dag K_tilde through its Cholesky factor, and the rest is
+    -i R_tilde.  M is defective: one eigenvalue, one eigenvector."""
+    j = 1.5 * np.eye(n) + np.eye(n, k=1)
+    k_tilde = np.linalg.cholesky((j + j.T) / 2).conj().T
+    r_tilde = -0.5j * (j - j.T)
+    return w @ r_tilde @ w.conj().T, k_tilde @ w.conj().T

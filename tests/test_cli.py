@@ -283,21 +283,14 @@ class TestPassiveRealize:
         assert code == 4 and payload["kind"] == "numeric"
         assert "failed to converge" in payload["error"]
 
-    def test_drift_of_realized_system_built_once(
-        self, capsys, monkeypatch, drift_calls, reference_doc
-    ):
-        realized = []
-
-        def realize(system, tol):
-            realized.append(passive_realize(system, tol))
-            return realized[0]
-
-        monkeypatch.setattr(cli, "passive_realize", realize)
+    def test_drift_of_realized_system_never_formed(self, capsys, drift_calls, reference_doc):
+        # triangularity and the certificate's scale are read from
+        # R + Im(K^dag K); a passive pair is certified without a state space
         path, _ = reference_doc
         code, payload = run_cli(capsys, "passive-realize", path)
         assert code == 0
         assert payload["reports"]["triangularity"]["is_triangular"] is True
-        assert [s for s in drift_calls if s is realized[0].system] == [realized[0].system]
+        assert drift_calls == []
 
     @staticmethod
     def _bent_stage(realization):
@@ -522,6 +515,49 @@ class TestEnvironmentTolerance:
         monkeypatch.setenv("CASCADE_SYNTH_TOL", "loose")
         code, payload = run_cli(capsys, "check", slightly_off)
         assert code == 1 and payload["kind"] == "parse"
+
+
+class TestToleranceInput:
+    """A tolerance that is not a finite number at least 0 bounds nothing: it
+    is an input error, named by its source, before any verdict."""
+
+    @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    @pytest.mark.parametrize("source", ["--tol", "CASCADE_SYNTH_TOL"])
+    def test_meaningless_tolerance_is_an_input_error(
+        self, capsys, monkeypatch, tmp_path, reference_doc, command, value, source
+    ):
+        path, _ = reference_doc
+        out = tmp_path / "out.json"
+        argv = [command, path, path] if command == "verify" else [command, path]
+        if command in ("decompose", "passive-realize"):
+            argv += ["--out", str(out)]
+        if source == "--tol":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv("CASCADE_SYNTH_TOL", value)
+        # run_cli reads exactly one JSON object: no verdict came first
+        code, payload = run_cli(capsys, *argv)
+        assert code == 1 and payload["kind"] == "input"
+        assert payload["error"].startswith(f"{source} must be a finite number at least 0")
+        assert not out.exists()
+
+    def test_zero_tolerance_gives_a_verdict(self, capsys, reference_doc):
+        path, _ = reference_doc
+        code, payload = run_cli(capsys, "check", path, "--tol", "0")
+        assert code == 2 and payload["tolerance_used"] == 0.0
+
+    def test_passive_realize_flag_beats_env_var(self, capsys, monkeypatch, tmp_path):
+        # at 1e-18 the rotated drift is not triangular, at 1e-9 it is
+        pf = random_passive_form(4, 2, 3)
+        path = write_doc(tmp_path, "t.json", SystemDocument.from_passive(pf, s=random_unitary(2, 3)))
+        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-18")
+        code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-9")
+        assert code == 0
+        assert payload["reports"]["triangularity"]["tolerance_used"] == 1e-9
+        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-9")
+        code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-18")
+        assert code == 2 and payload["triangularity"]["tolerance_used"] == 1e-18
 
 
 class TestArgumentErrors:

@@ -24,7 +24,7 @@ from cascade_synth import (
     residual_interaction,
     series,
 )
-from cascade_synth.model import DEFAULT_TOL, _stages
+from cascade_synth.model import DEFAULT_TOL, _mode_measures, _stages
 from cascade_synth.sampling import random_chain, random_passive_system, random_system
 
 import reference_data as ref
@@ -63,8 +63,10 @@ def judged_stages(*stages):
     """model._stages, the one judge of split and decoded stages, over
     (s, k, r) triples of one-mode arrays that need not form systems."""
     s, k, r = (np.array(x) for x in zip(*stages))
+    k, r = k.astype(complex), r.astype(float)
     unitarity = [max_abs(x.conj().T @ x - np.eye(len(x))) for x in s]
-    return _stages(s.astype(complex), k.astype(complex), r.astype(float), unitarity)
+    dropped = [x.ravel() for x in _mode_measures(k, r)]
+    return _stages(s.astype(complex), k, r, unitarity, dropped)
 
 
 def arrays(sys):
@@ -394,6 +396,7 @@ class TestStageSplit:
         dropped = count_computations("_dropped")
         for chain in (decompose_cascade(sys), CascadeChain(stages=one_mode_stages(sys))):
             assert chain.n == n
-        # the split measured and judged the stages, and sys measured its own
-        # residuals when it was made, so nothing is computed here
-        assert defects == [] and dropped == []
+        # sys measured its own residuals when it was made, and the split
+        # measured sys once, per mode, and handed each stage its slice, so
+        # only sys's maxima are computed here, once, and nothing for a stage
+        assert defects == [] and dropped == [sys]

@@ -598,6 +598,29 @@ class TestRealizationStages:
             assert stage.__dict__["_dropped"] == fresh._dropped
             assert "_passivity" not in stage.__dict__
 
+    def test_decoded_stages_match_loop_oracle(self):
+        # the stages of a realization, and general stages with one R
+        # asymmetric at rounding level, measured on decode as the loop over
+        # their one column pair and one block measures them
+        pf = random_passive_form(5, 3, 12)
+        realization = passive_realize(from_passive_form(pf, random_unitary(3, 12)))
+        general = random_chain(4, 2, 13).stages
+        r = np.array(general[1].r)
+        r[0, 1] *= 1.0 + 1e-12
+        tilted = SlhSystem(s=general[1].s, k=general[1].k, r=r)
+        assert tilted._defects[1] > 0.0
+        for stages in (realization.chain.stages, (general[0], tilted, *general[2:])):
+            text = RealizationDocument(input_digest="0", stages=stages).dumps()
+            for stage in RealizationDocument.loads(text).stages:
+                k_defect, r_defect, k_max, r_max = ref.mode_measures_oracle(stage.k, stage.r)
+                dropped = stage.__dict__["_dropped"]
+                assert dropped[1::2] == (r_defect[0, 0], r_max[0, 0])
+                for x, y in zip(dropped[0::2], (k_defect[0], k_max[0])):
+                    assert abs(x - y) <= 2.3e-16 * y
+                whole = ref.dropped_parts(stage.k[None], stage.r[None])
+                assert dropped == tuple(float(x[0]) for x in whole)
+                assert stage.__dict__["_defects"][1] == abs(stage.r[0, 1] - stage.r[1, 0])
+
     def test_stages_match_cell_by_cell_decoder(self):
         data = self.data()
         doc = RealizationDocument.from_dict(data)

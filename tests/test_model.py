@@ -473,7 +473,9 @@ class TestComputeOnce:
         for system in (sys, random_system(n, m, seed)):
             stages = one_mode_stages(system)
             verdicts = [is_passive(stage) for stage in stages]
-            assert computed == []
+            # the split reads sigma from system's own maxima; each stage
+            # holds its slice of system's measuring pass
+            assert computed == [system]
             for stage, verdict in zip(stages, verdicts):
                 fresh = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
                 assert stage._passivity == fresh._passivity[:2] + system._passivity[2:]
@@ -521,6 +523,122 @@ class TestComputeOnce:
             assert report.is_triangular is (tol == 10.0)
         assert np.array_equal(build_state_space(sys).a, drift_matrix(sys))
         assert drift_calls == [sys]
+
+
+def defective_passive_system(n, seed):
+    """A passive system whose mode matrix is one rotated Jordan block."""
+    r_tilde, k_tilde = ref.defective_passive_form(n, random_unitary(n, seed))
+    pf = PassiveForm(r_tilde=(r_tilde + r_tilde.conj().T) / 2, k_tilde=k_tilde)
+    return from_passive_form(pf, random_unitary(n, seed + 1))
+
+
+def measured_systems():
+    """General and passive systems, one with a defective mode matrix, at
+    scales from 1e-8 to 1e8, with no modes and with no fields, and the
+    one-mode stages of a split."""
+    rng = np.random.default_rng(41)
+    yield random_system(3, 2, rng)
+    yield random_system(1, 1, rng)
+    yield random_passive_system(5, 3, rng, degenerate=True)
+    yield random_passive_system(6, 4, rng)
+    yield defective_passive_system(4, 42)
+    for c in (1e-8, 1e8):
+        sys = random_passive_system(4, 2, rng)
+        yield SlhSystem(s=sys.s, k=np.sqrt(c) * sys.k, r=c * sys.r)
+    yield SlhSystem(s=np.eye(2), k=np.zeros((2, 0)), r=np.zeros((0, 0)))
+    yield random_system(3, 0, rng)
+    stages = one_mode_stages(random_system(4, 2, rng))
+    yield from stages
+
+
+class TestModeMeasures:
+    """One measuring pass per system, mode by mode, whose maxima are the
+    system's and whose slices are its stages'."""
+
+    def test_arrays_match_loop_oracle(self):
+        for sys in measured_systems():
+            n = sys.n
+            arrays = sys._per_mode
+            assert [x.shape for x in arrays] == [(n,), (n, n), (n,), (n, n)]
+            k_defect, r_defect, k_max, r_max = ref.mode_measures_oracle(sys.k, sys.r)
+            # R's measures are sums and moduli of reals, exact; K's take a
+            # complex modulus, whose last bit depends on its implementation
+            assert arrays[1].tobytes() == r_defect.tobytes()
+            assert arrays[3].tobytes() == r_max.tobytes()
+            for x, y in ((arrays[0], k_defect), (arrays[2], k_max)):
+                assert np.all(np.abs(x - y) <= 2.3e-16 * y)
+
+    def test_maxima_equal_whole_matrix_pass(self):
+        for sys in measured_systems():
+            whole = tuple(float(x[0]) for x in ref.dropped_parts(sys.k[None], sys.r[None]))
+            assert sys._dropped == whole
+
+    def test_split_stages_hold_their_slice(self):
+        for sys in measured_systems():
+            if sys.n == 0:
+                continue
+            k_defect, r_defect, k_max, r_max = sys._per_mode
+            sigma = sys._passivity[2]
+            for j, stage in enumerate(one_mode_stages(sys)):
+                fresh = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
+                assert stage._dropped == (k_defect[j], r_defect[j, j], k_max[j], r_max[j, j])
+                assert stage._dropped == fresh._dropped
+                assert stage._defects == fresh._defects
+                assert stage._passivity == fresh._passivity[:2] + (sigma,)
+
+    def test_realized_system_is_measured_once(self, count_computations):
+        computed = count_computations("_per_mode")
+        for sys in (random_passive_system(5, 2, 43), defective_passive_system(3, 44)):
+            realization = passive_realize(sys)
+            assert computed == [sys, realization.system]
+            certify_equivalence(sys, realization.system)
+            assert all(is_passive(stage) for stage in realization.chain.stages)
+            # the certificate and the stages read what the split measured
+            assert computed == [sys, realization.system]
+            computed.clear()
+
+
+class TestDriftWithoutA:
+    """The triangularity residual and |A|_max are exactly twice those of
+    X = R + Im(K^dag K); A itself is formed only for the state space."""
+
+    def test_residual_and_scale_match_the_formed_drift(self, drift_calls):
+        for sys in measured_systems():
+            residual, scale = sys._drift
+            a = drift_matrix(sys)
+            assert scale == max_abs(a)
+            worst = 0.0
+            for j in range(sys.n):
+                for l in range(j + 1, sys.n):
+                    worst = max(worst, max_abs(a[2 * j : 2 * j + 2, 2 * l : 2 * l + 2]))
+            assert residual == worst
+        assert drift_calls == []
+
+    def test_state_space_forms_the_same_drift(self, drift_calls):
+        for sys in measured_systems():
+            a = build_state_space(sys).a
+            x = sys.r + np.imag(sys.k.conj().T @ sys.k)
+            # Theta has one entry of +-1 per row, so the product is exact
+            assert a.tobytes() == (2.0 * symplectic_form(sys.n) @ x).tobytes()
+            assert a.tobytes() == drift_matrix(sys).tobytes()
+        assert len(drift_calls) == len(list(measured_systems()))
+
+    @pytest.mark.parametrize("top, overflows", [(0.8e308, False), (0.9e308, True)])
+    def test_doubling_at_the_edge_of_overflow(self, top, overflows):
+        # |X|_max = top is finite, and 2 top overflows at 0.9e308, where A
+        # holds inf and no verdict is judged
+        r = np.array([[0.0, 0.0, top, 1.0], [0, 0, 0, 0], [top, 0, 0, 0], [1.0, 0, 0, 0]])
+        sys = SlhSystem(s=np.eye(1), k=np.array([[1.0, 1.0j, 0.0, 0.0]]), r=r)
+        with np.errstate(over="ignore"):
+            a = drift_matrix(sys)
+        assert bool(np.isfinite(a).all()) is not overflows
+        if not overflows:
+            assert sys._drift == (max_abs(a[0:2, 2:4]), max_abs(a)) == (2 * top, 2 * top)
+        else:
+            with pytest.raises(OverflowError, match="drift is not finite"):
+                sys._drift
+            with pytest.raises(OverflowError, match="drift is not finite"):
+                build_state_space(sys)
 
 
 class TestPassiveFormMaps:

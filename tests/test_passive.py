@@ -208,6 +208,40 @@ class TestSchurLower:
             assert u.tobytes() == (z.conj().T[::-1] + 0.0).tobytes()
             assert m_hat.tobytes() == (t[::-1, ::-1] + 0.0).tobytes()
 
+    def test_workspace_queried_once_per_order(self, monkeypatch):
+        from scipy.linalg import schur
+
+        lapack = passive._zgees()
+
+        def recorder():
+            calls = []
+
+            def zgees(*args, **kwargs):
+                calls.append(kwargs["lwork"])
+                return lapack(*args, **kwargs)
+
+            return zgees, calls
+
+        rng = np.random.default_rng(22)
+        # a stand-in's workspace must not reach LAPACK: it asks for 2n
+        monkeypatch.setattr(passive, "_zgees", lambda: failing_zgees(2))
+        with pytest.raises(ConvergenceFailure):
+            schur_lower(np.eye(3, dtype=complex))
+        zgees, calls = recorder()
+        monkeypatch.setattr(passive, "_zgees", lambda: zgees)
+        for n in (3, 5, 3, 3, 5):
+            m = _complex_gaussian(rng, (n, n), 1.0)
+            u, m_hat = schur_lower(m)
+            t, z = schur(m, output="complex")
+            assert u.tobytes() == (z.conj().T[::-1] + 0.0).tobytes()
+            assert m_hat.tobytes() == (t[::-1, ::-1] + 0.0).tobytes()
+        assert calls.count(-1) == 2 and len(calls) == 7
+        # another zgees asks again
+        other, again = recorder()
+        monkeypatch.setattr(passive, "_zgees", lambda: other)
+        schur_lower(_complex_gaussian(rng, (3, 3), 1.0))
+        assert again[0] == -1 and len(again) == 2
+
     @pytest.mark.parametrize(
         "info, error, message",
         [(2, ConvergenceFailure, "failed to converge"), (-4, ValueError, "argument 4")],

@@ -312,7 +312,7 @@ class TestPassiveKernel:
             for degenerate in (False, True):
                 pf = scaled_form(random_passive_form(n, m, rng, degenerate=degenerate), c)
                 sys = from_passive_form(pf, random_unitary(m, rng))
-                points = verification._draw(rng, 6, verification._drift_max(sys) or 1.0)
+                points = verification._draw(rng, 6, sys._drift[1] or 1.0)
                 points = np.concatenate([points, points.conj()])
                 values = _passive_values([sys], points)[0]
                 assert values.shape == (12, m, m)
@@ -419,6 +419,22 @@ class TestCcrPreservation:
 
     def test_scaling_residual_value(self):
         assert ccr_preservation(SymplecticTransform(v=2.0 * np.eye(2))) == 3.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+    def test_matches_dense_oracle(self, n):
+        # against the product with the loop-built Theta: a general real V,
+        # and a squeezed rotation, symplectic but not orthogonal, bent by
+        # 1e-6 so that its residual is small and not rounding
+        rng = np.random.default_rng(n)
+        squeeze = np.repeat(rng.uniform(0.5, 2.0, n), 2) ** np.tile([1.0, -1.0], n)
+        symplectic = random_symplectic_orthogonal(n, rng) * squeeze
+        th = ref.symplectic_form(n)
+        for v in (rng.standard_normal((2 * n, 2 * n)), symplectic + 1e-6 * np.eye(2 * n)):
+            oracle = max_abs(v @ th @ v.T - th)
+            residual = ccr_preservation(SymplecticTransform(v=v))
+            assert abs(residual - oracle) <= 1e-14 * max(1.0, max_abs(v) ** 2)
+            assert n == 0 or residual > 0.0
+        assert ccr_preservation(SymplecticTransform(v=symplectic)) <= 1e-14
 
     @given(st.integers(1, 6), seeds)
     @settings(max_examples=25, deadline=None)

@@ -3,15 +3,18 @@ passive_batch.py
 
 Batch certification harness for the passive synthesis pipeline.  Draws random
 passive systems (optionally forcing a fraction to have exactly repeated mode
-frequencies), runs passive_realize on each, and certifies triangularity of
-the transformed drift, symplecticity of the transform, per-stage passivity,
-and transfer-function equivalence.  Prints one JSON summary to stdout and
-exits 0 only when every case certifies, so the script can gate CI runs or
-larger parameter sweeps.  Besides the worst case, the summary gives the
-throughput (cases_per_s) and, for each mode count n, the p50, p95 and max of
-the transfer mismatch, of the upper-block residual, and of the seconds each
-case spent in passive_realize (realize_s) and in its certification
-(certify_s), in by_modes.
+frequencies), runs passive_realize on each, and certifies the result with
+certify_realization, the checks passive-realize runs: triangularity of the
+transformed drift, symplecticity of the transform, transfer-function
+equivalence, per-stage passivity, and that the emitted chain rebuilds the
+transformed system.  A failed check is named by its certificate field.
+Prints one JSON summary to stdout and exits 0 only when every case
+certifies, so the script can gate CI runs or larger parameter sweeps.
+Besides the worst case, the summary gives the throughput (cases_per_s)
+and, for each mode count n, the p50, p95 and max of the transfer mismatch,
+of the upper-block residual, and of the seconds each case spent in
+passive_realize (realize_s) and in its certification (certify_s), in
+by_modes.
 
     python scripts/passive_batch.py --count 500 --max-modes 6 --seed 7
 """
@@ -23,14 +26,7 @@ import time
 
 import numpy as np
 
-from cascade_synth import (
-    certify_equivalence,
-    certify_symplectic,
-    from_passive_form,
-    is_cascade_realizable,
-    is_passive,
-    passive_realize,
-)
+from cascade_synth import certify_realization, from_passive_form, passive_realize
 from cascade_synth.sampling import random_passive_form, random_unitary
 
 
@@ -43,25 +39,14 @@ def distribution(values):
 
 
 def certify_case(sys_, tol, seed):
-    """Realize one system and certify the result; return the names of the
-    failed checks, the equivalence and triangularity reports, and the
-    seconds spent in passive_realize and in the certification."""
+    """Realize one system and certify the result; return the certificate
+    and the seconds spent in passive_realize and in the certification."""
     t_realize = time.perf_counter()
     realization = passive_realize(sys_, tol=tol)
     t_certify = time.perf_counter()
-    triangularity = is_cascade_realizable(realization.system, tol=tol)
-    symplectic = certify_symplectic(realization.transform.v, tol=tol)
-    stages_passive = all(is_passive(stage, tol) for stage in realization.chain.stages)
-    equivalence = certify_equivalence(sys_, realization.system, seed=seed)
+    certificate = certify_realization(sys_, realization, tol, seed)
     t_done = time.perf_counter()
-    passed = {
-        "triangularity": triangularity.is_triangular,
-        "symplectic": symplectic,
-        "stage_passivity": stages_passive,
-        "equivalence": equivalence.verdict,
-    }
-    failed = [check for check, ok in passed.items() if not ok]
-    return failed, equivalence, triangularity, t_certify - t_realize, t_done - t_certify
+    return certificate, t_certify - t_realize, t_done - t_certify
 
 
 def run_batch(args):
@@ -82,12 +67,15 @@ def run_batch(args):
         degenerate_count += degenerate
         pf = random_passive_form(n, m, rng, degenerate=degenerate)
         sys_ = from_passive_form(pf, s=random_unitary(m, rng))
-        failed, equivalence, triangularity, realize_s, certify_s = certify_case(
-            sys_, args.tol, args.seed
-        )
-        failures += [{"case": case, "check": check} for check in failed]
+        certificate, realize_s, certify_s = certify_case(sys_, args.tol, args.seed)
+        failures += [{"case": case, "check": check} for check in certificate.failed]
         by_modes.setdefault(n, []).append(
-            (equivalence.max_rel_mismatch, triangularity.max_upper_residual, realize_s, certify_s)
+            (
+                certificate.equivalence.max_rel_mismatch,
+                certificate.triangularity.max_upper_residual,
+                realize_s,
+                certify_s,
+            )
         )
     seconds = time.perf_counter() - t0
     cases = [c for n in by_modes for c in by_modes[n]]

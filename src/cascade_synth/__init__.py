@@ -13,7 +13,6 @@ from .composition import (
     cascade,
     one_mode_stages,
     residual_interaction,
-    series,
 )
 from .documents import (
     RealizationDocument,
@@ -38,10 +37,8 @@ from .errors import (
 )
 from .model import (
     DEFAULT_TOL,
-    ComplexMatrix,
     DoubledStateSpace,
     PassiveForm,
-    RealMatrix,
     SlhSystem,
     build_state_space,
     drift_matrix,
@@ -65,8 +62,10 @@ from .realizability import (
 )
 from .verification import (
     EquivalenceReport,
+    RealizationCertificate,
     ccr_preservation,
     certify_equivalence,
+    certify_realization,
     certify_symplectic,
     transfer_function,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "BadResidual",
     "CascadeChain",
     "CascadeSynthError",
-    "ComplexMatrix",
     "ConvergenceFailure",
     "DEFAULT_TOL",
     "DoubledStateSpace",
@@ -93,7 +91,7 @@ __all__ = [
     "ParseError",
     "PassiveForm",
     "PassiveRealization",
-    "RealMatrix",
+    "RealizationCertificate",
     "RealizationDocument",
     "ResolventSingular",
     "ScatteringMismatch",
@@ -107,6 +105,7 @@ __all__ = [
     "cascade",
     "ccr_preservation",
     "certify_equivalence",
+    "certify_realization",
     "certify_symplectic",
     "decompose_cascade",
     "drift_matrix",
@@ -119,7 +118,6 @@ __all__ = [
     "passive_realize",
     "residual_interaction",
     "schur_lower",
-    "series",
     "to_passive_form",
     "transfer_function",
 ]

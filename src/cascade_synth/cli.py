@@ -17,7 +17,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .composition import cascade
 from .documents import RealizationDocument, SystemDocument, _encode, canonical_json
 from .errors import (
     CascadeSynthError,
@@ -31,12 +30,7 @@ from .errors import (
 from .model import DEFAULT_TOL, build_state_space, is_passive
 from .passive import passive_realize
 from .realizability import decompose_cascade, is_cascade_realizable
-from .verification import (
-    _relative_mismatch,
-    ccr_preservation,
-    certify_equivalence,
-    transfer_function,
-)
+from .verification import certify_equivalence, certify_realization, transfer_function
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,41 +127,15 @@ def cmd_passive_realize(args) -> int:
         # the rotated drift misses a tolerance near rounding: a verdict, not an input error
         _emit({"error": str(exc), "triangularity": asdict(exc.report)})
         return EXIT_VERDICT
-    triangularity = is_cascade_realizable(realization.system, tol)
-    symplectic_residual = ccr_preservation(realization.transform)
-    equivalence = certify_equivalence(
-        system,
-        realization.system,
-        n_samples=EQUIVALENCE_SAMPLES,
-        tol=EQUIVALENCE_TOL,
-        seed=args.seed,
-    )
-    stages_passive = all(
-        is_passive(stage, tol) for stage in realization.chain.stages
-    )
-    # the document carries the stages, so they must rebuild the certified system
-    chain_residual = _relative_mismatch(cascade(realization.chain), realization.system)
+    certificate = certify_realization(system, realization, tol, args.seed)
     document = RealizationDocument(
         input_digest=doc.digest(),
         stages=realization.chain.stages,
         v=realization.transform.v,
-        reports={
-            "triangularity": asdict(triangularity),
-            "symplectic_residual": symplectic_residual,
-            "equivalence": asdict(equivalence),
-            "stages_passive": stages_passive,
-            "chain_residual": chain_residual,
-        },
+        reports=asdict(certificate),
     )
     _emit_document(args, document)
-    certified = (
-        triangularity.is_triangular
-        and symplectic_residual <= tol
-        and equivalence.verdict
-        and stages_passive
-        and chain_residual <= tol
-    )
-    return EXIT_OK if certified else EXIT_VERDICT
+    return EXIT_VERDICT if certificate.failed else EXIT_OK
 
 
 def _parse_points(text) -> list[complex]:

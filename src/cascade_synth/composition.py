@@ -1,9 +1,10 @@
 """Composition of linear quantum stochastic systems.
 
-Implements the series product (output fields of one system feeding the
-inputs of the next), the collapse of a chain of one-mode stages into a
-single system, and the residual direct-interaction Hamiltonian that measures
-how far a system is from being a pure cascade of its own one-mode stages.
+Implements the collapse of a chain of one-mode stages into a single
+system, the series product of the stages (the output fields of each feeding
+the inputs of the next) assembled in one pass, and the residual
+direct-interaction Hamiltonian that measures how far a system is from being
+a pure cascade of its own one-mode stages.
 """
 
 from __future__ import annotations
@@ -75,34 +76,6 @@ class CascadeChain:
         return self.stages[0].m
 
 
-def _composed(s, k, r) -> SlhSystem:
-    """The system (s, k, r) composed of checked systems, locked and not
-    judged again: the unitarity residuals of scatterings add up in their
-    product, so a composition of valid systems can exceed the bound each
-    met.  Its residuals are measured when first read (SlhSystem._defects)."""
-    return _unchecked(SlhSystem, s=_readonly(s), k=_readonly(k), r=_readonly(r))
-
-
-def series(g2: SlhSystem, g1: SlhSystem) -> SlhSystem:
-    """Series composition: the output fields of g1 drive the inputs of g2.
-
-    Requires equal field counts and disjoint mode sets; the result acts on
-    x = (x_g1, x_g2) with S = S2 S1, K = [S2 K1  K2], R block-diagonal in
-    (R1, R2) plus the field-mediated coupling Im(K2^dag S2 K1) between the
-    downstream and upstream modes, not judged again (see _composed).
-    """
-    if g1.m != g2.m:
-        raise FieldCountMismatch(f"field counts differ: {g1.m} vs {g2.m}")
-    n1, n2 = g1.n, g2.n
-    r = np.zeros((2 * (n1 + n2), 2 * (n1 + n2)))
-    r[: 2 * n1, : 2 * n1] = g1.r
-    r[2 * n1 :, 2 * n1 :] = g2.r
-    coupling = np.imag(g2.k.conj().T @ g2.s @ g1.k)
-    r[2 * n1 :, : 2 * n1] = coupling
-    r[: 2 * n1, 2 * n1 :] = coupling.T
-    return _composed(g2.s @ g1.s, np.hstack([g2.s @ g1.k, g2.k]), r)
-
-
 def _strict_lower(a) -> RealMatrix:
     """Copy of a 2n x 2n matrix with every 2x2 block on or above the block
     diagonal set to zero."""
@@ -132,11 +105,14 @@ def cascade(chain: CascadeChain) -> SlhSystem:
     on column pairs of the collapsed K, the coupling residual_interaction
     subtracts.
 
-    Every chain collapses: the result is built from the checked stages and
-    not judged again (see _composed).  Its S and K are the fold's, and its
-    couplings differ from the fold's by up to the sum of the stages'
-    unitarity residuals, relative; that sum also bounds, to first order,
-    the unitarity residual of its S, which can exceed DEFAULT_TOL.
+    Every chain collapses: the result holds the arrays built here from the
+    checked stages, locked, and is not judged again, as the unitarity
+    residuals of the stage scatterings add up in their product; its
+    residuals are measured when first read (SlhSystem._defects).  Its S and
+    K are the fold's, and its couplings differ from the fold's by up to the
+    sum of the stages' unitarity residuals, relative; that sum also bounds,
+    to first order, the unitarity residual of its S, which can exceed
+    DEFAULT_TOL.
     """
     stages = chain.stages
     n, m = chain.n, chain.m
@@ -153,7 +129,7 @@ def cascade(chain: CascadeChain) -> SlhSystem:
     pair_blocks(r)[modes, modes] = hamiltonians
     if chain.residual_r is not None:
         r = r + chain.residual_r
-    return _composed(acc, k, r)
+    return _unchecked(SlhSystem, s=_readonly(acc), k=_readonly(k), r=_readonly(r))
 
 
 def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
@@ -174,13 +150,12 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     sys's one measuring pass (SlhSystem._per_mode): entry j of the column
     pair arrays and diagonal entry (j, j) of the block arrays, so sys is
     measured once and the stages are not measured again.  Each stage is
-    judged passive at the scale sigma of sys.  What a stage drops is part
-    of what sys drops, so every stage of a passive system is passive, a
-    stage that is zero up to the rounding of sys included; judged at its
-    own scale, such a stage would fail.
+    judged passive at the scale sigma of its chain, read from the same
+    slices, so a stage that is zero up to the rounding of sys is passive,
+    as it is when read back from a document; judged at its own scale, such
+    a stage would fail.
     """
     n, m = sys.n, sys.m
-    sigma = sys._passivity[2]
     k_defect, r_defect, k_max, r_max = sys._per_mode
     s = np.empty((n, m, m), dtype=complex)
     s[:] = np.eye(m)
@@ -190,7 +165,7 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     r = np.array(pair_blocks(sys.r).diagonal().transpose(2, 0, 1))
     unitarity = [sys._defects[0]] + [0.0] * (n - 1)
     dropped = (k_defect, r_defect.diagonal(), k_max, r_max.diagonal())
-    return _stages(s, k, r, unitarity, dropped, sigma)
+    return _stages(s, k, r, unitarity, dropped)
 
 
 def residual_interaction(sys: SlhSystem) -> RealMatrix:

@@ -120,10 +120,9 @@ def _finite(scale, name) -> float:
 
 
 def _sigma(r_max, k_max) -> float:
-    """The scale sigma = |R|_max + |K|_max^2 of is_passive, when finite; the
-    float power raises on its own from |K|_max = 2**512 on."""
-    square = k_max**2 if k_max < 2.0**512 else math.inf
-    return _finite(r_max + square, "the passivity scale |R|_max + |K|_max^2")
+    """The scale sigma = |R|_max + |K|_max^2 of is_passive, inf where it
+    overflows; the float power raises on its own from |K|_max = 2**512 on."""
+    return r_max + (k_max**2 if k_max < 2.0**512 else math.inf)
 
 
 def _readonly(a):
@@ -186,10 +185,9 @@ class SlhSystem:
     OverflowError.  Systems the pipeline builds from checked values skip
     the constructor: the stages of _stages are read-only views into locked
     stacks, judged in one pass over them and measured by their slice of a
-    measuring pass,
-    the transformed system of passive_realize holds the arrays it computed,
-    locked, and so do the compositions of series and cascade, whose
-    unitarity residual can add up those of their parts.
+    measuring pass, the transformed system of passive_realize holds the
+    arrays it computed, locked, and so does the collapse of cascade, whose
+    unitarity residual can add up those of its stages.
     """
 
     s: ComplexMatrix
@@ -274,8 +272,8 @@ class SlhSystem:
     @cached_property
     def _passivity(self) -> tuple[float, float, float]:
         """(k_defect, r_defect, sigma), what is_passive compares: the dropped
-        parts and the scale sigma they are judged at (see _sigma).
-        one_mode_stages sets it for the stages of a larger system."""
+        parts and the scale sigma they are judged at (see _sigma).  _stages
+        sets it for each stage of a chain, at the chain's sigma."""
         k_defect, r_defect, k_max, r_max = self._dropped
         return k_defect, r_defect, _sigma(r_max, k_max)
 
@@ -301,7 +299,7 @@ def _judge(unitarity, asymmetry, r_max, where="") -> None:
         raise NonSymmetricR(f"{where}R fails symmetry at relative tolerance {DEFAULT_TOL:.1e}")
 
 
-def _stages(s, k, r, unitarity, dropped, sigma=None) -> tuple[SlhSystem, ...]:
+def _stages(s, k, r, unitarity, dropped) -> tuple[SlhSystem, ...]:
     """The one-mode systems (s[j], k[j], r[j]) of the stacks s (count, m, m)
     and k (count, m, 2) of complex and r (count, 2, 2) of real entries, which
     the caller made from finite values and holds alone.  The stacks are
@@ -313,18 +311,21 @@ def _stages(s, k, r, unitarity, dropped, sigma=None) -> tuple[SlhSystem, ...]:
     their unitarity residuals.  The asymmetry of each R is one strided
     difference over the stack.  Each stage is judged at its own |R|_max,
     lowest first, and the first that fails is named in the error,
-    "stage j: ...".  sigma, when given, is the scale each stage is judged
-    passive at; else each is judged at its own when asked."""
+    "stage j: ...".  Every stage is judged passive at the scale sigma of
+    its chain, the largest |R_j|_max plus the square of the largest
+    |K_j|_max (see _sigma), so a stage split off a system and the same
+    stage decoded from a document get the same verdict."""
     s, k, r = _readonly(s), _readonly(k), _readonly(r)
     with np.errstate(over="ignore", invalid="ignore"):
         asymmetry = np.abs(r[:, 0, 1] - r[:, 1, 0]).tolist()
+    k_max, r_max = (float(np.maximum.reduce(x, initial=0.0)) for x in dropped[2:])
+    sigma = _sigma(r_max, k_max)
     measured = zip(*(x.tolist() for x in dropped))
     stages = []
     for j, (sj, kj, rj, u, a, d) in enumerate(zip(s, k, r, unitarity, asymmetry, measured)):
         _judge(u, a, d[3], f"stage {j}: ")
         stage = _unchecked(SlhSystem, s=sj, k=kj, r=rj, _defects=(u, a), _dropped=d)
-        if sigma is not None:
-            stage.__dict__["_passivity"] = (d[0], d[1], sigma)
+        stage.__dict__["_passivity"] = (d[0], d[1], sigma)
         stages.append(stage)
     return tuple(stages)
 
@@ -450,10 +451,12 @@ def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:
     |R - Re(Sigma^dag (8 Sigma R Sigma^dag) Sigma)|_max <= tol * sigma.
     sigma carries the units of the drift R + Im(K^dag K), so the verdict is
     the same at every scale of the system; the zero system is passive.  A
-    stage that one_mode_stages made is judged at the sigma of the system it
-    was split from.
+    stage split off a system or decoded from a document is judged at the
+    sigma of its chain (see _stages).  Raises OverflowError where sigma is
+    not finite.
     """
     k_defect, r_defect, sigma = sys._passivity
+    _finite(sigma, "the passivity scale |R|_max + |K|_max^2")
     return k_defect <= tol * math.sqrt(sigma) and r_defect <= tol * sigma
 
 

@@ -111,11 +111,6 @@ def _no_sort(_):
     return None
 
 
-# (zgees, {matrix order: the workspace size it asked for}) of the last
-# zgees that schur_lower called
-_workspace: tuple = (None, {})
-
-
 def _raise_for(info) -> None:
     if info < 0:
         raise ValueError(f"zgees rejected its argument {-info}")
@@ -123,21 +118,15 @@ def _raise_for(info) -> None:
         raise ConvergenceFailure(f"Schur iteration failed to converge (zgees info={info})")
 
 
-def _lwork(zgees, m) -> int:
-    """The workspace size zgees asks for at the order of m, queried once per
-    order: the answer depends on the order alone.  The sizes belong to the
-    zgees that gave them, and a call with another zgees starts afresh, so no
-    size outlives its zgees."""
-    global _workspace
-    owner, sizes = _workspace
-    if owner is not zgees:
-        _workspace = owner, sizes = zgees, {}
-    n = m.shape[0]
-    if n not in sizes:
-        *_, work, info = zgees(_no_sort, m, compute_v=1, sort_t=0, lwork=-1, overwrite_a=0)
-        _raise_for(info)
-        sizes[n] = int(work[0].real)
-    return sizes[n]
+@functools.cache
+def _lwork(zgees, n) -> int:
+    """The workspace size zgees asks for at matrix order n, queried once per
+    zgees and order: the answer depends on the order alone, and each size
+    is kept for the zgees that gave it, so another zgees asks again."""
+    a = np.zeros((n, n), dtype=complex)
+    *_, work, info = zgees(_no_sort, a, compute_v=1, sort_t=0, lwork=-1, overwrite_a=0)
+    _raise_for(info)
+    return int(work[0].real)
 
 
 def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
@@ -162,7 +151,7 @@ def schur_lower(m: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
     if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
     zgees = _zgees()
-    lwork = _lwork(zgees, m)
+    lwork = _lwork(zgees, m.shape[0])
     t, _, _, z, _, info = zgees(_no_sort, m, compute_v=1, sort_t=0, lwork=lwork, overwrite_a=0)
     _raise_for(info)
     # + 0.0 turns every zero into +0.0: conjugation leaves -0.0 in zero

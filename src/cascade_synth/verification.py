@@ -1,29 +1,34 @@
 """Numerical certification of synthesis results.
 
 Evaluates the doubled-up transfer function, certifies transfer-function
-equivalence of two systems by randomized frequency sampling, and measures
-how well a candidate transform preserves the symplectic form (equivalently,
-the canonical commutation relations).
+equivalence of two systems by randomized frequency sampling, measures how
+well a candidate transform preserves the symplectic form (equivalently, the
+canonical commutation relations), and certifies a passive realization, down
+to the chain of one-mode stages it emits, in one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .composition import cascade
 from .errors import OddDimension, ResolventSingular, ScatteringMismatch
 from .model import (
+    DEFAULT_TOL,
     DoubledStateSpace,
     SlhSystem,
     _as_real,
     _unchecked,
     build_state_space,
+    is_passive,
     max_abs,
     stack_max,
 )
-from .passive import SymplecticTransform
+from .passive import PassiveRealization, SymplecticTransform
+from .realizability import TriangularityReport, is_cascade_realizable
 
 RESOLVENT_MARGIN = 1e-8
 SPECTRUM_REJECT = 1e-6
@@ -87,14 +92,16 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
     frequencies and return the (k, 2m, 2m) stack of values.
 
     The resolvents are pivoted linear solves, never explicit inverses.  The
-    spectrum of A is computed once; frequencies within 1e-8 of it are
-    rejected, the first such point naming the error.
+    spectrum of A is computed once; frequencies within 1e-8 |A|_max of it
+    are rejected, the first such point naming the error.  The margin is
+    relative, so a point is refused or evaluated alike at every scale of
+    the system; with a zero drift only the spectrum itself is refused.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 1:
         raise ValueError(f"points must be a 1-d sequence, got shape {points.shape}")
     gaps = np.abs(points[:, None] - np.linalg.eigvals(ss.a)).min(axis=1, initial=np.inf)
-    near = np.flatnonzero(gaps <= RESOLVENT_MARGIN)
+    near = np.flatnonzero(gaps <= RESOLVENT_MARGIN * max_abs(ss.a))
     if near.size:
         s, gap = complex(points[near[0]]), gaps[near[0]]
         raise ResolventSingular(f"s = {s} is within {gap:.3e} of the drift spectrum")
@@ -230,15 +237,6 @@ def certify_equivalence(
     )
 
 
-def _relative_mismatch(g: SlhSystem, ref: SlhSystem) -> float:
-    """Largest entrywise mismatch of S, K and R, each relative to the
-    max-norm of the reference matrix (absolute where that is zero)."""
-    return max(
-        max_abs(x - y) / (max_abs(y) or 1.0)
-        for x, y in ((g.s, ref.s), (g.k, ref.k), (g.r, ref.r))
-    )
-
-
 def certify_symplectic(v, tol: float = 1e-9) -> bool:
     """True when the real matrix V preserves the symplectic form within
     tolerance: its ccr_preservation residual |V Theta V^T - Theta|_max is at
@@ -268,3 +266,59 @@ def ccr_preservation(transform: SymplecticTransform) -> float:
     flat[1 :: 2 * size + 2] -= 1.0
     flat[size :: 2 * size + 2] += 1.0
     return max_abs(d)
+
+
+@dataclass(frozen=True)
+class RealizationCertificate:
+    """The checks that certify a passive realization, one field each (see
+    certify_realization); asdict of it is the reports object of a
+    passive-realize document."""
+
+    triangularity: TriangularityReport
+    symplectic_residual: float
+    equivalence: EquivalenceReport
+    stages_passive: bool
+    chain_residual: float
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """The names of the checks that fail, in field order.  Both residuals
+        are bounded by the structural tolerance triangularity.tolerance_used,
+        each tested as residual <= tol, so a NaN residual fails."""
+        tol = self.triangularity.tolerance_used
+        passed = (
+            self.triangularity.is_triangular,
+            self.symplectic_residual <= tol,
+            self.equivalence.verdict,
+            self.stages_passive,
+            self.chain_residual <= tol,
+        )
+        return tuple(f.name for f, ok in zip(fields(self), passed) if not ok)
+
+
+def certify_realization(
+    system: SlhSystem, realization: PassiveRealization, tol=DEFAULT_TOL, seed: int = 0
+) -> RealizationCertificate:
+    """Certify what passive_realize(system, tol) returned, each check once,
+    in this order: the transformed system's drift is lower block triangular
+    at tol; the ccr_preservation residual of V; the transformed system's
+    equivalence to system, by certify_equivalence at its own sample count
+    and tolerance and the given seed; every stage of the chain is passive
+    at tol; and chain_residual, the largest entrywise mismatch of S, K and
+    R between the cascade of the chain and the transformed system, each
+    relative to the transformed system's max-norm (absolute where that is
+    zero), since the stages are what a realization document carries.
+    """
+    target, chain = realization.system, realization.chain
+    triangularity = is_cascade_realizable(target, tol)
+    symplectic_residual = ccr_preservation(realization.transform)
+    equivalence = certify_equivalence(system, target, seed=seed)
+    stages_passive = all(is_passive(stage, tol) for stage in chain.stages)
+    collapsed = cascade(chain)
+    chain_residual = max(
+        max_abs(x - y) / (max_abs(y) or 1.0)
+        for x, y in ((collapsed.s, target.s), (collapsed.k, target.k), (collapsed.r, target.r))
+    )
+    return RealizationCertificate(
+        triangularity, symplectic_residual, equivalence, stages_passive, chain_residual
+    )

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from cascade_synth import (
     build_state_space,
     canonical_json,
     cascade,
+    certify_realization,
+    is_passive,
     max_abs,
     passive_realize,
     transfer_function,
@@ -242,6 +245,30 @@ class TestPassiveRealize:
         assert stored.digest() == RealizationDocument.from_dict(payload).digest()
         levels = sorted(stage.r[0, 0] for stage in stored.to_chain().stages)
         assert max_abs(np.array(levels) - sorted(ref.STAGE_LEVELS)) <= 1e-3
+
+    @pytest.mark.parametrize("tol, seed", [(None, 0), ("1e-6", 3), ("1e-15", 1)])
+    def test_reports_are_the_certificate(self, capsys, reference_doc, tol, seed):
+        path, doc = reference_doc
+        argv = ["passive-realize", path, "--seed", str(seed)]
+        argv += [] if tol is None else ["--tol", tol]
+        code, payload = run_cli(capsys, *argv)
+        system = doc.to_system()
+        structural = 1e-9 if tol is None else float(tol)
+        realization = passive_realize(system, structural)
+        certificate = certify_realization(system, realization, structural, seed)
+        assert payload["reports"] == asdict(certificate)
+        assert code == (2 if certificate.failed else 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stage_verdicts_survive_the_document(self, capsys, tmp_path, seed):
+        # a decoupled mode of zero frequency leaves a stage that is zero up
+        # to rounding, which is passive at its chain's scale only
+        doc = SystemDocument.from_system(zero_mode_system(seed))
+        code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "z.json", doc))
+        loaded = RealizationDocument.from_dict(payload)
+        stages_passive = payload["reports"]["stages_passive"]
+        assert code == 0 and stages_passive is True
+        assert all(is_passive(stage) for stage in loaded.stages) is stages_passive
 
     def test_rejects_non_passive_system(self, capsys, tmp_path):
         sys_ = random_system(2, 2, 77)

@@ -575,9 +575,9 @@ class TestRealizationStages:
                 for other in chain.stages:
                     for c in (other.s, other.k, other.r):
                         assert not np.shares_memory(a, c)
-            # judged at its own scale, as a freshly constructed system is
+            # judged passive at the scale of its chain, not at its own
             fresh = SlhSystem(s=source.s, k=source.k, r=source.r)
-            assert stage._passivity == fresh._passivity
+            assert stage._passivity == fresh._passivity[:2] + (ref.chain_sigma(chain.stages),)
         assert loaded.to_chain().n == 4
 
     def test_decoded_stages_arrive_measured(self, count_computations):
@@ -591,12 +591,14 @@ class TestRealizationStages:
         loaded = RealizationDocument.loads(text)
         assert loaded.to_chain().n == 6
         assert defects == [] and dropped == []
-        # the same numbers as each stage measured on its own
+        # the same numbers as each stage measured on its own, and the
+        # passivity scale of the chain
+        sigma = ref.chain_sigma(stages)
         for stage in loaded.stages:
             fresh = SlhSystem(s=stage.s, k=stage.k, r=stage.r)
             assert stage.__dict__["_defects"] == fresh._defects
             assert stage.__dict__["_dropped"] == fresh._dropped
-            assert "_passivity" not in stage.__dict__
+            assert stage.__dict__["_passivity"] == fresh._passivity[:2] + (sigma,)
 
     def test_decoded_stages_match_loop_oracle(self):
         # the stages of a realization, and general stages with one R

@@ -1,5 +1,6 @@
 """Structural constants, domain types, state-space construction, passivity."""
 
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cascade_synth import (
     NonUnitaryScattering,
     NotPassive,
     PassiveForm,
+    RealizationDocument,
     SlhSystem,
     build_state_space,
     certify_equivalence,
@@ -339,9 +341,16 @@ class TestNonFiniteScale:
 
     def test_overflowing_sigma_raises(self):
         sys = coupled_system(1e160)
-        for judge in (is_passive, to_passive_form, passive_realize, one_mode_stages):
+        for judge in (is_passive, to_passive_form, passive_realize):
             with pytest.raises(OverflowError, match="passivity scale"):
                 judge(sys)
+        # the split and its document are made; only a verdict on them raises
+        stages = one_mode_stages(sys)
+        text = RealizationDocument(input_digest="0", stages=stages).dumps()
+        for stage in (*stages, *RealizationDocument.loads(text).stages):
+            assert stage._passivity[2] == math.inf
+            with pytest.raises(OverflowError, match="passivity scale"):
+                is_passive(stage)
         # |R|_max + |K|_max^2 overflows in the sum, with both terms finite
         big = SlhSystem(s=np.eye(1), k=np.array([[1e154, 1e154j]]), r=1e308 * np.eye(2))
         with pytest.raises(OverflowError, match="passivity scale"):
@@ -469,28 +478,34 @@ class TestComputeOnce:
     @pytest.mark.parametrize("n, m, seed", [(1, 2, 13), (5, 3, 14), (4, 0, 15)])
     def test_stage_split_measures_stage_passivity(self, count_computations, n, m, seed):
         sys = random_passive_system(n, m, seed)
-        computed = count_computations("_dropped")
+        measured, maxima = count_computations("_per_mode"), count_computations("_dropped")
         for system in (sys, random_system(n, m, seed)):
             stages = one_mode_stages(system)
             verdicts = [is_passive(stage) for stage in stages]
-            # the split reads sigma from system's own maxima; each stage
-            # holds its slice of system's measuring pass
-            assert computed == [system]
+            # each stage holds its slice of system's measuring pass, and the
+            # split reads the chain's sigma from those slices, not from
+            # system's maxima
+            assert measured == [system] and maxima == []
+            sigma = ref.chain_sigma(stages)
             for stage, verdict in zip(stages, verdicts):
                 fresh = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
-                assert stage._passivity == fresh._passivity[:2] + system._passivity[2:]
-                assert verdict is ref.passivity_oracle(fresh, 1e-9, scale_of=system)
-            computed.clear()
+                assert stage._passivity == fresh._passivity[:2] + (sigma,)
+                assert verdict is ref.passivity_oracle(fresh, 1e-9, scale_of=stages)
+            measured.clear()
+            maxima.clear()
 
     def test_stage_of_a_zero_frequency_mode_is_passive(self):
         # a decoupled mode of zero frequency: its stage is zero up to the
-        # rounding of the whole system, so it is judged at the system's scale
+        # rounding of the whole system, so it is judged at its chain's
+        # scale, in the split and read back from a document alike
         alone_not_passive = 0
         for seed in range(20):
             sys = zero_mode_system(seed)
             assert is_passive(sys)
             stages = passive_realize(sys).chain.stages
             assert all(is_passive(stage) for stage in stages)
+            text = RealizationDocument(input_digest="0", stages=stages).dumps()
+            assert all(is_passive(stage) for stage in RealizationDocument.loads(text).stages)
             tiny = min(stages, key=lambda stage: max_abs(stage.k))
             assert max_abs(tiny.k) < 1e-12
             # alone, the stage is judged at its own scale, where the
@@ -578,8 +593,9 @@ class TestModeMeasures:
             if sys.n == 0:
                 continue
             k_defect, r_defect, k_max, r_max = sys._per_mode
-            sigma = sys._passivity[2]
-            for j, stage in enumerate(one_mode_stages(sys)):
+            stages = one_mode_stages(sys)
+            sigma = ref.chain_sigma(stages)
+            for j, stage in enumerate(stages):
                 fresh = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
                 assert stage._dropped == (k_defect[j], r_defect[j, j], k_max[j], r_max[j, j])
                 assert stage._dropped == fresh._dropped

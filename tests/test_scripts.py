@@ -42,6 +42,25 @@ def test_passive_batch_certifies_every_case(capsys):
     assert worst["max_upper_residual"] == summary["worst_upper_residual"]
 
 
+def test_passive_batch_names_a_failed_chain(capsys, monkeypatch):
+    # stages that no longer cascade to the realized system fail the
+    # certificate's chain_residual, and the summary names that field
+    script = load_script("passive_batch")
+    realize = script.passive_realize
+
+    def bent(system, tol):
+        realization = realize(system, tol)
+        first, *rest = realization.chain.stages
+        stage = cascade_synth.SlhSystem(s=first.s, k=1.01 * first.k, r=first.r)
+        return realization._replace(chain=cascade_synth.CascadeChain(stages=(stage, *rest)))
+
+    monkeypatch.setattr(script, "passive_realize", bent)
+    code = script.main(["--count", "3"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1 and summary["ok"] is False
+    assert summary["failures"] == [{"case": case, "check": "chain_residual"} for case in range(3)]
+
+
 def test_reference_example_runs_clean():
     env = dict(os.environ, PYTHONPATH=str(Path(cascade_synth.__file__).parents[1]))
     proc = subprocess.run(

@@ -1,4 +1,8 @@
-"""Transfer-function evaluation, equivalence certification, symplectic checks."""
+"""Transfer-function evaluation, equivalence certification, symplectic
+checks, and the certificate of a passive realization."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_synth import (
+    CascadeChain,
     OddDimension,
     PassiveForm,
     ResolventSingular,
@@ -16,10 +21,12 @@ from cascade_synth import (
     build_symplectic,
     ccr_preservation,
     certify_equivalence,
+    certify_realization,
     certify_symplectic,
     from_passive_form,
     is_passive,
     max_abs,
+    passive_realize,
     transfer_function,
 )
 from cascade_synth.sampling import (
@@ -93,6 +100,25 @@ class TestTransferFunction:
         with pytest.raises(ResolventSingular, match=r"s = \(-2\+0j\)"):
             transfer_function(ss, [1.0, -2.0, -2.0 + 1e-9j])
         transfer_function(ss, [-2.0 + 1.0j])
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_resolvent_margin_is_relative(self, c):
+        # R scaled by c and K by sqrt(c) scale the drift and its spectrum by
+        # c: a point refused or evaluated at one scale is so at every scale
+        sys = random_system(3, 2, 14)
+        ss = build_state_space(SlhSystem(s=sys.s, k=np.sqrt(c) * sys.k, r=c * sys.r))
+        size = max_abs(ss.a)
+        pole = np.linalg.eigvals(ss.a)[0]
+        with pytest.raises(ResolventSingular):
+            transfer_function(ss, [pole + 1e-13 * size])
+        assert np.isfinite(transfer_function(ss, [pole + 1e-6 * size])).all()
+
+    def test_zero_drift_refuses_only_its_spectrum(self):
+        ss = build_state_space(SlhSystem(s=np.eye(1), k=np.zeros((1, 2)), r=np.zeros((2, 2))))
+        assert max_abs(ss.a) == 0.0
+        with pytest.raises(ResolventSingular, match=r"s = 0j"):
+            transfer_function(ss, [0.0])
+        assert np.array_equal(transfer_function(ss, [1e-300])[0], np.eye(2))
 
     def test_stack_matches_single_points(self):
         ss = build_state_space(random_system(3, 2, 12))
@@ -457,3 +483,63 @@ class TestSimilarityCovariance:
         assert max_abs(ss2.b - v @ ss.b) <= 1e-9 * max(1.0, max_abs(ss.b))
         assert max_abs(ss2.c - ss.c @ v.T) <= 1e-12 * max(1.0, max_abs(ss.c))
         assert np.array_equal(ss2.d, ss.d)
+
+
+class TestCertifyRealization:
+    """One certificate of a passive realization: its fields are the reports
+    of a passive-realize document, and failed names the checks that fail."""
+
+    @staticmethod
+    def certified(n=4, m=2, seed=5, tol=1e-9):
+        system = random_passive_system(n, m, seed)
+        realization = passive_realize(system, tol)
+        return system, realization, certify_realization(system, realization, tol)
+
+    def test_a_realization_passes_every_check(self):
+        system, realization, certificate = self.certified()
+        names = [f.name for f in dataclasses.fields(certificate)]
+        assert names == [
+            "triangularity",
+            "symplectic_residual",
+            "equivalence",
+            "stages_passive",
+            "chain_residual",
+        ]
+        assert certificate.failed == ()
+        assert certificate.triangularity.tolerance_used == 1e-9
+        assert certificate.symplectic_residual == ccr_preservation(realization.transform)
+        assert certificate.equivalence == certify_equivalence(system, realization.system)
+        assert certificate.stages_passive is True
+        assert 0.0 <= certificate.chain_residual <= 1e-9
+
+    @pytest.mark.parametrize(
+        "scale_k, tilt, failed",
+        [(1.01, 0.0, ("chain_residual",)), (1.0, 1e-3, ("stages_passive", "chain_residual"))],
+    )
+    def test_a_perturbed_stage_is_named(self, scale_k, tilt, failed):
+        # a stage that no longer cascades to the realized system, and one
+        # that is also no longer passive
+        system, realization, _ = self.certified()
+        first, *rest = realization.chain.stages
+        bent = SlhSystem(s=first.s, k=scale_k * first.k, r=first.r + np.diag([tilt, 0.0]))
+        chain = CascadeChain(stages=(bent, *rest))
+        certificate = certify_realization(system, realization._replace(chain=chain))
+        assert certificate.failed == failed
+
+    @pytest.mark.parametrize("name", ["symplectic_residual", "chain_residual"])
+    @pytest.mark.parametrize("value", [math.nan, 1e-8])
+    def test_residuals_are_bounded_by_the_structural_tolerance(self, name, value):
+        # a NaN residual fails, and a residual above the tolerance fails
+        _, _, certificate = self.certified()
+        assert dataclasses.replace(certificate, **{name: value}).failed == (name,)
+        _, _, loose = self.certified(tol=1e-6)
+        assert dataclasses.replace(loose, **{name: 1e-8}).failed == ()
+
+    def test_verdicts_are_named(self):
+        _, _, certificate = self.certified()
+        untriangular = dataclasses.replace(certificate.triangularity, is_triangular=False)
+        unequal = dataclasses.replace(certificate.equivalence, verdict=False)
+        changed = dataclasses.replace(
+            certificate, triangularity=untriangular, equivalence=unequal, stages_passive=False
+        )
+        assert changed.failed == ("triangularity", "equivalence", "stages_passive")

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from cascade_synth import certify_realization, from_passive_form, passive_realize
+from cascade_synth import DEFAULT_TOL, certify_realization, from_passive_form, passive_realize
 from cascade_synth.sampling import random_passive_form, random_unitary
 
 
@@ -115,7 +115,7 @@ def main(argv=None):
         default=0.2,
         help="fraction of cases with repeated mode frequencies",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
     args = parser.parse_args(argv)
 
     summary = run_batch(args)

@@ -4,15 +4,15 @@ Every invocation writes exactly one canonical JSON object to stdout (for
 decompose and passive-realize, the bytes --out writes) and exits with
 0 (ok), 1 (input error), 2 (negative verdict), 3 (precondition violated), or
 4 (numeric failure), so shell pipelines can branch on the result.  The
-default tolerance is 1e-9, overridable per call with --tol and globally with
-the CASCADE_SYNTH_TOL environment variable.
+result depends only on the arguments and the files they name.  The
+structural tolerance defaults to 1e-9 and verify's equivalence tolerance to
+1e-8, each overridable per call with --tol.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -30,6 +30,7 @@ from .errors import (
 from .model import DEFAULT_TOL, build_state_space, is_passive
 from .passive import passive_realize
 from .realizability import decompose_cascade, is_cascade_realizable
+from .verification import EQUIVALENCE_SAMPLES, EQUIVALENCE_TOL
 from .verification import certify_equivalence, certify_realization, transfer_function
 
 EXIT_OK = 0
@@ -38,32 +39,17 @@ EXIT_VERDICT = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 
-EQUIVALENCE_TOL = 1e-8
-EQUIVALENCE_SAMPLES = 20
-
 
 def _emit(obj) -> None:
     print(canonical_json(obj))
 
 
-def _resolve_tol(args, fallback=DEFAULT_TOL) -> float:
-    """The tolerance of --tol, else of CASCADE_SYNTH_TOL, else fallback.  A
-    tolerance that is not a finite number at least 0 bounds nothing, so it
-    is an input error that names where it came from."""
-    tol = getattr(args, "tol", None)
-    source = "--tol"
-    if tol is None:
-        env = os.environ.get("CASCADE_SYNTH_TOL")
-        if env is None:
-            return fallback
-        source = "CASCADE_SYNTH_TOL"
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise ParseError(f"CASCADE_SYNTH_TOL is not a number: {env!r}") from exc
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{source} must be a finite number at least 0, got {tol!r}")
-    return tol
+def _resolve_tol(args) -> float:
+    """The tolerance of --tol.  A tolerance that is not a finite number at
+    least 0 bounds nothing, so it is an input error."""
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number at least 0, got {args.tol!r}")
+    return args.tol
 
 
 def _load_document(path) -> SystemDocument:
@@ -165,7 +151,7 @@ def cmd_tf(args) -> int:
 
 def cmd_verify(args) -> int:
     """Certify transfer-function equivalence of two system documents."""
-    tol = _resolve_tol(args, fallback=EQUIVALENCE_TOL)
+    tol = _resolve_tol(args)
     g1 = _load_document(args.path_a).to_system()
     g2 = _load_document(args.path_b).to_system()
     report = certify_equivalence(
@@ -193,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="test pure-cascade realizability")
     check.add_argument("path", help="system document (JSON)")
-    check.add_argument("--tol", type=float, default=None, help="triangularity tolerance")
+    check.add_argument("--tol", type=float, default=DEFAULT_TOL, help="triangularity tolerance")
     check.set_defaults(func=cmd_check)
 
     decompose = sub.add_parser("decompose", help="split into one-mode stages")
     decompose.add_argument("path", help="system document (JSON)")
-    decompose.add_argument("--tol", type=float, default=None, help="triangularity tolerance")
+    decompose.add_argument("--tol", type=float, default=DEFAULT_TOL, help="structural tolerance")
     decompose.add_argument("--out", default=None, help="write the realization document here")
     decompose.set_defaults(func=cmd_decompose)
 
@@ -207,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="construct and certify a cascade realization of a passive system",
     )
     realize.add_argument("path", help="system document (JSON)")
-    realize.add_argument("--tol", type=float, default=None, help="structural tolerance")
+    realize.add_argument("--tol", type=float, default=DEFAULT_TOL, help="structural tolerance")
     realize.add_argument("--out", default=None, help="write the realization document here")
     realize.add_argument("--seed", type=int, default=0, help="equivalence sampling seed")
     realize.set_defaults(func=cmd_passive_realize)
@@ -225,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("path_a", help="first system document (JSON)")
     verify.add_argument("path_b", help="second system document (JSON)")
     verify.add_argument("--samples", type=int, default=EQUIVALENCE_SAMPLES)
-    verify.add_argument("--tol", type=float, default=None, help="equivalence tolerance")
+    verify.add_argument(
+        "--tol", type=float, default=EQUIVALENCE_TOL, help="equivalence tolerance"
+    )
     verify.add_argument("--seed", type=int, default=0, help="sampling seed")
     verify.set_defaults(func=cmd_verify)
 

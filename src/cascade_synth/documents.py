@@ -216,7 +216,6 @@ class SystemDocument:
     r: Optional[RealMatrix] = None
     k_tilde: Optional[ComplexMatrix] = None
     r_tilde: Optional[ComplexMatrix] = None
-    schema_version: str = SCHEMA_VERSION
     _system: SlhSystem = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -267,7 +266,7 @@ class SystemDocument:
 
     def to_dict(self) -> dict:
         data = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "form": self.form,
             "n": self.n,
             "m": self.m,
@@ -372,14 +371,14 @@ class RealizationDocument:
     was constructed, the residual interaction when one is needed, and the
     numerical reports of every certification that ran.  The stages and the
     residual form one CascadeChain, built and checked on construction; the
-    document keeps the chain's arrays, and to_chain returns that chain."""
+    document keeps the chain's arrays, and to_chain returns that chain.  The
+    reports must be finite JSON, so that the document can be written."""
 
     input_digest: str
     stages: tuple[SlhSystem, ...]
     v: Optional[RealMatrix] = None
     residual_r: Optional[RealMatrix] = None
     reports: Mapping[str, Any] = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
     _chain: CascadeChain = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -396,6 +395,10 @@ class RealizationDocument:
                 raise ValueError(f"V must be {nn} x {nn}, got {v.shape}")
             object.__setattr__(self, "v", v)
         object.__setattr__(self, "reports", dict(self.reports))
+        try:
+            canonical_json(self.reports)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"reports must be finite JSON: {exc}") from None
 
     @property
     def n(self) -> int:
@@ -409,7 +412,7 @@ class RealizationDocument:
     def _fields(self) -> dict:
         """The JSON form of every field but V."""
         data = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "input_digest": self.input_digest,
             "stages": _encode_stages(self.stages),
             "reports": dict(self.reports),
@@ -448,6 +451,9 @@ class RealizationDocument:
             )
         except BadResidual as exc:
             raise ParseError(str(exc), "$.residual_R") from None
+        except ValueError as exc:
+            # decoded stages, V and residual raise no ValueError; the reports can
+            raise ParseError(str(exc), "$.reports") from None
 
     def dumps(self) -> str:
         """canonical_json(self.to_dict()), with V written from its complex

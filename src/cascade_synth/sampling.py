@@ -26,14 +26,14 @@ def random_unitary(m: int, rng=None):
     return q * (d / np.abs(d))
 
 
-def random_system(n: int, m: int, rng=None, coupling_scale=1.0) -> SlhSystem:
+def random_system(n: int, m: int, rng=None) -> SlhSystem:
     """Draw a generic (S, K, R): Haar S, complex Gaussian K, symmetric
     Gaussian R."""
     rng = np.random.default_rng(rng)
     r = rng.standard_normal((2 * n, 2 * n))
     return SlhSystem(
         s=random_unitary(m, rng),
-        k=_complex_gaussian(rng, (m, 2 * n), coupling_scale),
+        k=_complex_gaussian(rng, (m, 2 * n)),
         r=(r + r.T) / 2,
     )
 

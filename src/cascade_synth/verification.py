@@ -30,6 +30,8 @@ from .model import (
 from .passive import PassiveRealization, SymplecticTransform
 from .realizability import TriangularityReport, is_cascade_realizable
 
+EQUIVALENCE_SAMPLES = 20
+EQUIVALENCE_TOL = 1e-8
 RESOLVENT_MARGIN = 1e-8
 SPECTRUM_REJECT = 1e-6
 STACK_ENTRIES = 2**16
@@ -165,7 +167,7 @@ def _accepted_points(rng, n_samples, scale, spectrum) -> np.ndarray:
 
 
 def certify_equivalence(
-    g: SlhSystem, g2: SlhSystem, n_samples: int = 20, tol: float = 1e-8, seed: int = 0
+    g: SlhSystem, g2: SlhSystem, n_samples=EQUIVALENCE_SAMPLES, tol=EQUIVALENCE_TOL, seed=0
 ) -> EquivalenceReport:
     """Certify that two systems share the same doubled-up transfer function.
 
@@ -302,12 +304,13 @@ def certify_realization(
     """Certify what passive_realize(system, tol) returned, each check once,
     in this order: the transformed system's drift is lower block triangular
     at tol; the ccr_preservation residual of V; the transformed system's
-    equivalence to system, by certify_equivalence at its own sample count
-    and tolerance and the given seed; every stage of the chain is passive
-    at tol; and chain_residual, the largest entrywise mismatch of S, K and
-    R between the cascade of the chain and the transformed system, each
-    relative to the transformed system's max-norm (absolute where that is
-    zero), since the stages are what a realization document carries.
+    equivalence to system, by certify_equivalence at its defaults,
+    EQUIVALENCE_SAMPLES samples and tolerance EQUIVALENCE_TOL, and the given
+    seed; every stage of the chain is passive at tol; and chain_residual,
+    the largest entrywise mismatch of S, K and R between the cascade of the
+    chain and the transformed system, each relative to the transformed
+    system's max-norm (absolute where that is zero), since the stages are
+    what a realization document carries.
     """
     target, chain = realization.system, realization.chain
     triangularity = is_cascade_realizable(target, tol)

@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: payloads, exit codes, files, environment."""
 
+import ast
 import contextlib
 import hashlib
 import json
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cascade_synth
 from cascade_synth import (
     CascadeChain,
     RealizationDocument,
@@ -27,6 +30,7 @@ from cascade_synth import (
 from cascade_synth import cli, passive
 from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_passive_form, random_system, random_unitary
+from cascade_synth.verification import EQUIVALENCE_SAMPLES, EQUIVALENCE_TOL
 from test_model import SCALES, bumped_passive, coupled_system, rounded_hermitian, zero_mode_system
 from test_passive import failing_zgees
 
@@ -494,29 +498,33 @@ class TestVacuousVerdict:
 
 
 class TestTightTolerance:
-    def test_passive_realize_never_reports_an_input_error(self, capsys, monkeypatch, tmp_path):
+    def test_passive_realize_never_reports_an_input_error(self, capsys, tmp_path):
         # U is LAPACK's own Schur unitary and is not tested again, so a
         # tolerance near rounding gives a verdict (exit 0 or 2), never exit 1
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-15")
         codes = set()
         for seed in range(12):
             pf = random_passive_form(4, 1 + seed % 3, seed)
             doc = SystemDocument.from_passive(pf, s=random_unitary(pf.m, seed))
-            code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "t.json", doc))
+            path = write_doc(tmp_path, "t.json", doc)
+            code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-15")
             assert code in (0, 2), payload
             codes.add(code)
         assert codes == {0, 2}
 
-    def test_untriangular_rotation_is_a_verdict(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-18")
+    def test_untriangular_rotation_is_a_verdict(self, capsys, tmp_path):
         pf = random_passive_form(4, 2, 3)
         doc = SystemDocument.from_passive(pf, s=random_unitary(2, 3))
-        code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "t.json", doc))
+        path = write_doc(tmp_path, "t.json", doc)
+        code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-18")
         assert code == 2 and payload["triangularity"]["is_triangular"] is False
         assert payload["error"].startswith("drift matrix is not lower 2x2-block triangular")
 
 
-class TestEnvironmentTolerance:
+class TestToleranceInput:
+    """Each tolerance is --tol or its subparser's default.  One that is not a
+    finite number at least 0 bounds nothing: it is an input error before any
+    verdict."""
+
     @pytest.fixture
     def slightly_off(self, tmp_path):
         combined = cascade(random_chain(2, 1, 8))
@@ -526,47 +534,26 @@ class TestEnvironmentTolerance:
         sys_ = SlhSystem(s=combined.s, k=combined.k, r=r)
         return write_doc(tmp_path, "off.json", SystemDocument.from_system(sys_))
 
-    def test_env_var_loosens_tolerance(self, capsys, monkeypatch, slightly_off):
-        code, _ = run_cli(capsys, "check", slightly_off)
-        assert code == 2
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-3")
+    def test_flag_loosens_tolerance(self, capsys, slightly_off):
         code, payload = run_cli(capsys, "check", slightly_off)
-        assert code == 0 and payload["tolerance_used"] == 1e-3
-
-    def test_flag_beats_env_var(self, capsys, monkeypatch, slightly_off):
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-3")
-        code, payload = run_cli(capsys, "check", slightly_off, "--tol", "1e-9")
         assert code == 2 and payload["tolerance_used"] == 1e-9
-
-    def test_bad_env_var_is_input_error(self, capsys, monkeypatch, slightly_off):
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "loose")
-        code, payload = run_cli(capsys, "check", slightly_off)
-        assert code == 1 and payload["kind"] == "parse"
-
-
-class TestToleranceInput:
-    """A tolerance that is not a finite number at least 0 bounds nothing: it
-    is an input error, named by its source, before any verdict."""
+        code, payload = run_cli(capsys, "check", slightly_off, "--tol", "1e-3")
+        assert code == 0 and payload["tolerance_used"] == 1e-3
 
     @pytest.mark.parametrize("command", ["check", "decompose", "passive-realize", "verify"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
-    @pytest.mark.parametrize("source", ["--tol", "CASCADE_SYNTH_TOL"])
     def test_meaningless_tolerance_is_an_input_error(
-        self, capsys, monkeypatch, tmp_path, reference_doc, command, value, source
+        self, capsys, tmp_path, reference_doc, command, value
     ):
         path, _ = reference_doc
         out = tmp_path / "out.json"
         argv = [command, path, path] if command == "verify" else [command, path]
         if command in ("decompose", "passive-realize"):
             argv += ["--out", str(out)]
-        if source == "--tol":
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv("CASCADE_SYNTH_TOL", value)
         # run_cli reads exactly one JSON object: no verdict came first
-        code, payload = run_cli(capsys, *argv)
+        code, payload = run_cli(capsys, *argv, f"--tol={value}")
         assert code == 1 and payload["kind"] == "input"
-        assert payload["error"].startswith(f"{source} must be a finite number at least 0")
+        assert payload["error"].startswith("--tol must be a finite number at least 0")
         assert not out.exists()
 
     def test_zero_tolerance_gives_a_verdict(self, capsys, reference_doc):
@@ -574,17 +561,83 @@ class TestToleranceInput:
         code, payload = run_cli(capsys, "check", path, "--tol", "0")
         assert code == 2 and payload["tolerance_used"] == 0.0
 
-    def test_passive_realize_flag_beats_env_var(self, capsys, monkeypatch, tmp_path):
-        # at 1e-18 the rotated drift is not triangular, at 1e-9 it is
-        pf = random_passive_form(4, 2, 3)
-        path = write_doc(tmp_path, "t.json", SystemDocument.from_passive(pf, s=random_unitary(2, 3)))
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-18")
-        code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-9")
+    def test_equivalence_reports_carry_the_defaults(self, capsys, reference_doc):
+        # the structural --tol of passive-realize does not reach its equivalence check
+        assert (EQUIVALENCE_TOL, EQUIVALENCE_SAMPLES) == (1e-8, 20)
+        path, _ = reference_doc
+        code, verified = run_cli(capsys, "verify", path, path)
         assert code == 0
-        assert payload["reports"]["triangularity"]["tolerance_used"] == 1e-9
-        monkeypatch.setenv("CASCADE_SYNTH_TOL", "1e-9")
-        code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-18")
-        assert code == 2 and payload["triangularity"]["tolerance_used"] == 1e-18
+        for tol in ([], ["--tol", "1e-6"]):
+            code, realized = run_cli(capsys, "passive-realize", path, *tol)
+            assert code == 0
+            for report in (verified, realized["reports"]["equivalence"]):
+                assert report["tolerance"] == EQUIVALENCE_TOL
+                assert report["samples_used"] == EQUIVALENCE_SAMPLES
+
+
+def _environment_reads(source) -> list[int]:
+    """The lines of source that read the environment: os.environ, os.getenv
+    or a bare environ or getenv, however imported."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in names:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestNoHiddenSettings:
+    """A result depends only on argv and the files it names: no setting of
+    the environment reaches it."""
+
+    @pytest.mark.parametrize("value", ["garbage", "0.5"])
+    def test_environment_changes_no_result(
+        self, capsys, monkeypatch, tmp_path, cascade_doc, reference_doc, value
+    ):
+        path, combined, _ = cascade_doc
+        passive_path, _ = reference_doc
+        same = write_doc(tmp_path, "same.json", SystemDocument.from_system(combined))
+        calls = [
+            ["check", path],
+            ["check", passive_path],
+            ["decompose", path],
+            ["passive-realize", passive_path],
+            ["tf", path, "--points", "1+2j,0.5"],
+            ["verify", path, same],
+            ["verify", passive_path, passive_path],
+        ]
+
+        def results():
+            return [(main(argv), capsys.readouterr().out) for argv in calls]
+
+        monkeypatch.delenv("CASCADE_SYNTH_TOL", raising=False)
+        unset = results()
+        assert {code for code, _ in unset} == {0, 2}
+        monkeypatch.setenv("CASCADE_SYNTH_TOL", value)
+        assert results() == unset
+
+    def test_no_module_reads_the_environment(self):
+        modules = sorted(Path(cascade_synth.__file__).parent.glob("*.py"))
+        assert len(modules) > 5
+        for module in modules:
+            assert _environment_reads(module.read_text()) == [], module.name
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import os\nx = os.environ['X']",
+            "import os\nx = os.environ.get('X')",
+            "import os\nx = os.getenv('X')",
+            "from os import environ\nx = environ.get('X')",
+            "from os import getenv as g\nx = g('X')",
+        ],
+    )
+    def test_guard_sees_every_form(self, source):
+        assert _environment_reads(source)
 
 
 class TestArgumentErrors:

@@ -244,6 +244,17 @@ class TestSystemDocument:
         err = self.parse(lambda d: d.update(schema_version="2"))
         assert err.path == "$.schema_version"
 
+    def test_schema_version_is_not_a_field(self):
+        # every document writes SCHEMA_VERSION, so every one can be read back
+        with pytest.raises(TypeError, match="schema_version"):
+            SystemDocument(
+                form="general", s=np.eye(1), k=np.zeros((1, 2)), r=np.eye(2), schema_version="2"
+            )
+        with pytest.raises(TypeError, match="schema_version"):
+            RealizationDocument(
+                input_digest="x", stages=(random_system(1, 1, 0),), schema_version="2"
+            )
+
     def test_rejects_unknown_field(self):
         err = self.parse(lambda d: d.update(extra=1))
         assert err.path == "$" and "extra" in str(err)
@@ -470,6 +481,25 @@ class TestRealizationDocument:
 
     def test_rejects_bad_reports(self):
         assert self.parse(lambda d: d.update(reports=[1])).path == "$.reports"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_rejects_reports_it_could_not_write(self, token):
+        # json.loads reads NaN and Infinity tokens and turns 1e400 into inf
+        text = self.build().dumps().replace('"is_triangular":true', f'"r":{token}')
+        assert f'"r":{token}' in text
+        with pytest.raises(ParseError) as exc:
+            RealizationDocument.loads(text)
+        assert exc.value.path == "$.reports" and "finite JSON" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "reports",
+        [{"ok": np.bool_(True)}, {"r": float("nan")}, {"r": {"s": {1}}}],
+        ids=["numpy-bool", "nan", "set"],
+    )
+    def test_reports_that_cannot_be_written_are_refused(self, reports):
+        doc = self.build()
+        with pytest.raises(ValueError, match="reports must be finite JSON"):
+            RealizationDocument(doc.input_digest, doc.stages, reports=reports)
 
     def test_rejects_unknown_field(self):
         assert self.parse(lambda d: d.update(zz=1)).path == "$"

@@ -394,11 +394,12 @@ class RealizationDocument:
             if v.shape != (nn, nn):
                 raise ValueError(f"V must be {nn} x {nn}, got {v.shape}")
             object.__setattr__(self, "v", v)
-        object.__setattr__(self, "reports", dict(self.reports))
         try:
-            canonical_json(self.reports)
+            encoded = canonical_json(self.reports)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"reports must be finite JSON: {exc}") from None
+        # keep the checked encoding, not the caller's objects, which could still change
+        object.__setattr__(self, "reports", json.loads(encoded))
 
     @property
     def n(self) -> int:

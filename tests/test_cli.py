@@ -594,7 +594,10 @@ class TestNoHiddenSettings:
     """A result depends only on argv and the files it names: no setting of
     the environment reaches it."""
 
-    @pytest.mark.parametrize("value", ["garbage", "0.5"])
+    # the values the variable once read as an input error, or as a tolerance
+    @pytest.mark.parametrize(
+        "value", ["garbage", "nan", "inf", "-inf", "-1", "-1e-300", "0.5", "1e-18"]
+    )
     def test_environment_changes_no_result(
         self, capsys, monkeypatch, tmp_path, cascade_doc, reference_doc, value
     ):

@@ -501,6 +501,16 @@ class TestRealizationDocument:
         with pytest.raises(ValueError, match="reports must be finite JSON"):
             RealizationDocument(doc.input_digest, doc.stages, reports=reports)
 
+    def test_reports_are_held_apart_from_the_caller(self):
+        # a nested report changed after construction reaches neither reports nor dumps
+        doc = self.build()
+        inner = {"r": 0.5}
+        held = RealizationDocument(doc.input_digest, doc.stages, reports={"eq": inner})
+        text = held.dumps()
+        inner["r"] = float("nan")
+        assert held.reports == {"eq": {"r": 0.5}}
+        assert held.dumps() == text
+
     def test_rejects_unknown_field(self):
         assert self.parse(lambda d: d.update(zz=1)).path == "$"
 

@@ -21,6 +21,7 @@ by_modes.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -117,6 +118,15 @@ def main(argv=None):
     )
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
     args = parser.parse_args(argv)
+    # a batch of no cases, or of cases no draw can make, certifies nothing
+    counts = {"--count": args.count, "--max-modes": args.max_modes, "--fields": args.fields}
+    for flag, value in counts.items():
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
+    if not 0.0 <= args.degenerate_fraction <= 1.0:
+        parser.error(f"--degenerate-fraction must lie in [0, 1], got {args.degenerate_fraction}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        parser.error(f"--tol must be a finite number at least 0, got {args.tol}")
 
     summary = run_batch(args)
     print(json.dumps(summary, indent=2, sort_keys=True))

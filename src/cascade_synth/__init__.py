@@ -30,7 +30,6 @@ from .errors import (
     NonUnitaryScattering,
     NotCascadeRealizable,
     NotPassive,
-    OddDimension,
     ParseError,
     ResolventSingular,
     ScatteringMismatch,
@@ -87,7 +86,6 @@ __all__ = [
     "NonUnitaryScattering",
     "NotCascadeRealizable",
     "NotPassive",
-    "OddDimension",
     "ParseError",
     "PassiveForm",
     "PassiveRealization",

@@ -12,6 +12,7 @@ structural tolerance defaults to 1e-9 and verify's equivalence tolerance to
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import asdict
@@ -52,6 +53,13 @@ def _resolve_tol(args) -> float:
     return args.tol
 
 
+def _resolve_seed(args) -> int:
+    """The sampling seed of --seed, which the generator takes only at least 0."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer at least 0, got {args.seed}")
+    return args.seed
+
+
 def _load_document(path) -> SystemDocument:
     try:
         text = Path(path).read_text()
@@ -61,10 +69,14 @@ def _load_document(path) -> SystemDocument:
 
 
 def _emit_document(args, document: RealizationDocument) -> None:
-    """Print dumps(), and write the same bytes to --out when it is given."""
+    """Print dumps(), and write the same bytes to --out when it is given; an
+    --out that cannot be written is an input error, and nothing is printed."""
     text = document.dumps() + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     print(text, end="")
 
 
@@ -105,6 +117,7 @@ def cmd_decompose(args) -> int:
 def cmd_passive_realize(args) -> int:
     """Run the passive synthesis pipeline and certify every result."""
     tol = _resolve_tol(args)
+    seed = _resolve_seed(args)
     doc = _load_document(args.path)
     system = doc.to_system()
     try:
@@ -113,7 +126,7 @@ def cmd_passive_realize(args) -> int:
         # the rotated drift misses a tolerance near rounding: a verdict, not an input error
         _emit({"error": str(exc), "triangularity": asdict(exc.report)})
         return EXIT_VERDICT
-    certificate = certify_realization(system, realization, tol, args.seed)
+    certificate = certify_realization(system, realization, tol, seed)
     document = RealizationDocument(
         input_digest=doc.digest(),
         stages=realization.chain.stages,
@@ -126,14 +139,14 @@ def cmd_passive_realize(args) -> int:
 
 def _parse_points(text) -> list[complex]:
     points = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in filter(None, map(str.strip, text.split(","))):
         try:
-            points.append(complex(token))
+            point = complex(token)
         except ValueError as exc:
             raise ParseError(f"cannot parse frequency {token!r}") from exc
+        if not cmath.isfinite(point):
+            raise ParseError(f"frequency {token!r} is not finite")
+        points.append(point)
     if not points:
         raise ParseError("--points must list at least one complex frequency")
     return points
@@ -152,11 +165,10 @@ def cmd_tf(args) -> int:
 def cmd_verify(args) -> int:
     """Certify transfer-function equivalence of two system documents."""
     tol = _resolve_tol(args)
+    seed = _resolve_seed(args)
     g1 = _load_document(args.path_a).to_system()
     g2 = _load_document(args.path_b).to_system()
-    report = certify_equivalence(
-        g1, g2, n_samples=args.samples, tol=tol, seed=args.seed
-    )
+    report = certify_equivalence(g1, g2, n_samples=args.samples, tol=tol, seed=seed)
     _emit(asdict(report))
     return EXIT_OK if report.verdict else EXIT_VERDICT
 

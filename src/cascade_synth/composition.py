@@ -149,7 +149,7 @@ def one_mode_stages(sys: SlhSystem) -> tuple[SlhSystem, ...]:
     variables, and the norms it is measured against, are its slice of
     sys's one measuring pass (SlhSystem._per_mode): entry j of the column
     pair arrays and diagonal entry (j, j) of the block arrays, so sys is
-    measured once and the stages are not measured again.  Each stage is
+    measured once and a stage is judged without measuring it.  Each stage is
     judged passive at the scale sigma of its chain, read from the same
     slices, so a stage that is zero up to the rounding of sys is passive,
     as it is when read back from a document; judged at its own scale, such

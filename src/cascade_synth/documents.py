@@ -325,9 +325,9 @@ def _decode_stages(entries) -> tuple[SlhSystem, ...]:
     checked for all stages at once, and the stages are read-only views into
     those stacks, measured by the formula that measures a system mode by
     mode (model._mode_measures) and judged in one pass (model._stages); a
-    stage that is not a system is a ParseError at $.stages.  Each is still
-    judged passive at its own scale.  Stages that fail the decoding checks are walked by
-    _locate_stages to name the fault."""
+    stage that is not a system is a ParseError at $.stages.  Each is judged
+    passive at the scale of its chain.  Stages that fail the decoding checks
+    are walked by _locate_stages to name the fault."""
     for i, entry in enumerate(entries):
         path = f"$.stages[{i}]"
         _require(isinstance(entry, dict), "expected an object", path)

@@ -63,10 +63,6 @@ class ScatteringMismatch(CascadeSynthError):
     """Two systems under comparison have different scattering matrices."""
 
 
-class OddDimension(CascadeSynthError):
-    """Matrix acting on canonical variables must have even dimension."""
-
-
 class ParseError(CascadeSynthError):
     """Document cannot be parsed or fails schema validation."""
 

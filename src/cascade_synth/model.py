@@ -179,14 +179,15 @@ class SlhSystem:
     checks one again.  Each array is copied once on construction and
     locked, so the structural quantities (the residuals _judge bounds, the
     triangularity residual and scale of the drift, the reduction to
-    annihilation variables, and what it drops, measured mode by mode) are
-    computed once per system and every check compares them against its own
-    tolerance; a drift or passivity scale that is not finite raises
-    OverflowError.  Systems the pipeline builds from checked values skip
-    the constructor: the stages of _stages are read-only views into locked
-    stacks, judged in one pass over them and measured by their slice of a
-    measuring pass, the transformed system of passive_realize holds the
-    arrays it computed, locked, and so does the collapse of cascade, whose
+    annihilation variables, a PassiveForm that to_passive_form returns, and
+    what it drops, measured mode by mode) are computed once per system and
+    every check compares them against its own tolerance; a drift or
+    passivity scale that is not finite raises OverflowError.  Systems the
+    pipeline builds from checked values skip the constructor: the stages of
+    _stages are read-only views into locked stacks, judged in one pass over
+    them and preset with the residuals and passivity figures they are
+    judged by, the transformed system of passive_realize holds the arrays
+    it computed, locked, and so does the collapse of cascade, whose
     unitarity residual can add up those of its stages.
     """
 
@@ -243,17 +244,18 @@ class SlhSystem:
         return 2.0 * max_abs(x[_upper_blocks(self.n)]), scale
 
     @cached_property
-    def _reduction(self) -> tuple[ComplexMatrix, ComplexMatrix]:
-        """(k_tilde, r_tilde), the reduction of (K, R) to annihilation
-        variables by slicing: k_tilde = 2 K Sigma^dag = K[:, 0::2] -
-        i K[:, 1::2], and r_tilde = 8 Sigma R Sigma^dag is
-        2 (R_qq + R_pp) + 2i (R_pq - R_qp) on the four strided quarters of R
-        (R_qp = R[0::2, 1::2], and so on)."""
+    def _reduction(self) -> PassiveForm:
+        """The system's own PassiveForm, its reduction to annihilation
+        variables by slicing, which holds new, finite, locked arrays
+        unchecked: k_tilde = 2 K Sigma^dag = K[:, 0::2] - i K[:, 1::2], and
+        r_tilde = 8 Sigma R Sigma^dag is 2 (R_qq + R_pp) + 2i (R_pq - R_qp)
+        on the strided quarters of R (R_qp = R[0::2, 1::2], and so on)."""
         k = self.k
         qq, qp, pq, pp = _quarters(self.r)
-        return (
-            _readonly(k[:, 0::2] - 1j * k[:, 1::2]),
-            _readonly(2.0 * (qq + pp) + 2j * (pq - qp)),
+        return _unchecked(
+            PassiveForm,
+            r_tilde=_readonly(2.0 * (qq + pp) + 2j * (pq - qp)),
+            k_tilde=_readonly(k[:, 0::2] - 1j * k[:, 1::2]),
         )
 
     @cached_property
@@ -261,7 +263,7 @@ class SlhSystem:
         """_mode_measures of (K, R): per column pair of K and per 2x2 block
         of R, what the reduction to annihilation variables drops and the
         max-norm it is measured against.  The one measuring pass of a
-        system; one_mode_stages hands each stage its slice."""
+        system; one_mode_stages judges each stage by its slice."""
         return _mode_measures(self.k, self.r)
 
     @cached_property
@@ -314,7 +316,9 @@ def _stages(s, k, r, unitarity, dropped) -> tuple[SlhSystem, ...]:
     "stage j: ...".  Every stage is judged passive at the scale sigma of
     its chain, the largest |R_j|_max plus the square of the largest
     |K_j|_max (see _sigma), so a stage split off a system and the same
-    stage decoded from a document get the same verdict."""
+    stage decoded from a document get the same verdict.  A stage is preset
+    with _defects and _passivity, the fields it is judged by, and measures
+    its own _dropped, its slice of dropped, only when that is read."""
     s, k, r = _readonly(s), _readonly(k), _readonly(r)
     with np.errstate(over="ignore", invalid="ignore"):
         asymmetry = np.abs(r[:, 0, 1] - r[:, 1, 0]).tolist()
@@ -324,9 +328,9 @@ def _stages(s, k, r, unitarity, dropped) -> tuple[SlhSystem, ...]:
     stages = []
     for j, (sj, kj, rj, u, a, d) in enumerate(zip(s, k, r, unitarity, asymmetry, measured)):
         _judge(u, a, d[3], f"stage {j}: ")
-        stage = _unchecked(SlhSystem, s=sj, k=kj, r=rj, _defects=(u, a), _dropped=d)
-        stage.__dict__["_passivity"] = (d[0], d[1], sigma)
-        stages.append(stage)
+        stages.append(
+            _unchecked(SlhSystem, s=sj, k=kj, r=rj, _defects=(u, a), _passivity=(d[0], d[1], sigma))
+        )
     return tuple(stages)
 
 
@@ -465,12 +469,12 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
 
     k_tilde = 2 K Sigma^dag and r_tilde = 8 Sigma R Sigma^dag invert the
     quadrature expansion K = k_tilde Sigma, R = Re(Sigma^dag r_tilde Sigma).
-    Raises NotPassive when is_passive(sys, tol) is false.
+    The form is the system's own, computed once and read-only.  Raises
+    NotPassive when is_passive(sys, tol) is false.
     """
     if not is_passive(sys, tol):
         raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
-    k_tilde, r_tilde = sys._reduction
-    return PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde)
+    return sys._reduction
 
 
 def from_passive_form(pf: PassiveForm, s: ComplexMatrix) -> SlhSystem:

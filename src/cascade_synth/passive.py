@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .composition import CascadeChain
-from .errors import ConvergenceFailure, NonUnitaryInput, NotPassive
+from .errors import ConvergenceFailure, NonUnitaryInput
 from .model import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -30,9 +30,9 @@ from .model import (
     _as_real,
     _readonly,
     _unchecked,
-    is_passive,
     max_abs,
     realify,
+    to_passive_form,
 )
 from .realizability import decompose_cascade
 
@@ -79,11 +79,7 @@ def mode_matrix(pf: PassiveForm) -> ComplexMatrix:
     Sigma over Sigma^# block-diagonalizes A into diag(M, M^#) against the
     inverse 2 [Sigma^dag  Sigma^T].
     """
-    return _mode_matrix(pf.r_tilde, pf.k_tilde)
-
-
-def _mode_matrix(r_tilde, k_tilde) -> ComplexMatrix:
-    return -0.25j * (r_tilde - 1j * k_tilde.conj().T @ k_tilde)
+    return -0.25j * (pf.r_tilde - 1j * pf.k_tilde.conj().T @ pf.k_tilde)
 
 
 @functools.cache
@@ -189,18 +185,14 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     with |R|, never trips the symmetry check of a later certification.
     Raises NotPassive for a non-passive input.
 
-    Everything is built from the checked input, with no PassiveForm and no
-    second unitarity test of LAPACK's Schur vectors U (ccr_preservation
-    measures the resulting V): M from the cached reduction to annihilation
-    variables by the formula of mode_matrix, V = realify(U), and a
-    transformed system that shares S with the input and holds K V^T and the
-    symmetrized V R V^T uncopied.  It is not judged again: its residuals
-    are those of S and exactly 0, since (X + X^T)/2 is exactly symmetric.
+    The steps are the package's own: schur_lower(mode_matrix(
+    to_passive_form(sys, tol))), V = realify(U) with no second unitarity
+    test of LAPACK's U (ccr_preservation measures V), a transformed system
+    that shares S with the input and holds K V^T and the symmetrized V R V^T
+    uncopied, not judged again (its residuals are those of S and exactly 0),
+    and decompose_cascade.
     """
-    if not is_passive(sys, tol):
-        raise NotPassive(f"system is not passive at tolerance {tol:.1e}")
-    k_tilde, r_tilde = sys._reduction
-    u, _ = schur_lower(_mode_matrix(r_tilde, k_tilde))
+    u, _ = schur_lower(mode_matrix(to_passive_form(sys, tol)))
     v = _readonly(realify(u))
     r = v @ sys.r @ v.T
     transformed = _unchecked(

@@ -15,13 +15,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .composition import cascade
-from .errors import OddDimension, ResolventSingular, ScatteringMismatch
+from .errors import ResolventSingular, ScatteringMismatch
 from .model import (
     DEFAULT_TOL,
     DoubledStateSpace,
     SlhSystem,
-    _as_real,
-    _unchecked,
     build_state_space,
     is_passive,
     max_abs,
@@ -93,15 +91,18 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
     """Evaluate G(s) = Cd (sI - A)^{-1} B + Dd at a 1-d sequence of k complex
     frequencies and return the (k, 2m, 2m) stack of values.
 
-    The resolvents are pivoted linear solves, never explicit inverses.  The
-    spectrum of A is computed once; frequencies within 1e-8 |A|_max of it
-    are rejected, the first such point naming the error.  The margin is
-    relative, so a point is refused or evaluated alike at every scale of
-    the system; with a zero drift only the spectrum itself is refused.
+    A point that is not finite is a ValueError.  The resolvents are pivoted
+    linear solves, never explicit inverses.  The spectrum of A is computed
+    once; frequencies within 1e-8 |A|_max of it are rejected, the first such
+    point naming the error.  The margin is relative, so a point is refused
+    or evaluated alike at every scale of the system; with a zero drift only
+    the spectrum itself is refused.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 1:
         raise ValueError(f"points must be a 1-d sequence, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     gaps = np.abs(points[:, None] - np.linalg.eigvals(ss.a)).min(axis=1, initial=np.inf)
     near = np.flatnonzero(gaps <= RESOLVENT_MARGIN * max_abs(ss.a))
     if near.size:
@@ -123,7 +124,8 @@ def _passive_values(systems, points) -> np.ndarray:
     for all systems, then per point an O(n m^2) product and one m x m
     solve.  The outer products of the columns of B are formed once per
     system, so F at all points is one (k, n) @ (n, m^2) product."""
-    k_tilde, r_tilde = (np.array(x) for x in zip(*(x._reduction for x in systems)))
+    k_tilde = np.array([x._reduction.k_tilde for x in systems])
+    r_tilde = np.array([x._reduction.r_tilde for x in systems])
     s = np.array([x.s for x in systems])[:, None]
     lam, w = np.linalg.eigh(r_tilde)
     b = np.swapaxes(k_tilde @ w, 1, 2)
@@ -242,14 +244,9 @@ def certify_equivalence(
 def certify_symplectic(v, tol: float = 1e-9) -> bool:
     """True when the real matrix V preserves the symplectic form within
     tolerance: its ccr_preservation residual |V Theta V^T - Theta|_max is at
-    most tol.  V is copied and checked once; a non-finite V is an input
-    error (ValueError)."""
-    v = _as_real(v, "V")
-    if v.shape[0] != v.shape[1]:
-        raise ValueError(f"V must be square, got {v.shape}")
-    if v.shape[0] % 2:
-        raise OddDimension(f"V must have even dimension, got {v.shape[0]}")
-    return ccr_preservation(_unchecked(SymplecticTransform, v=v)) <= tol
+    most tol.  V is checked as SymplecticTransform checks it, so a V that is
+    complex, not finite, not square or of odd dimension raises ValueError."""
+    return ccr_preservation(SymplecticTransform(v=v)) <= tol
 
 
 def ccr_preservation(transform: SymplecticTransform) -> float:

@@ -293,6 +293,23 @@ def mode_measures_oracle(k, r):
     return k_defect, r_defect, k_max, r_max
 
 
+def reduction_oracle(k, r):
+    """(k_tilde, r_tilde) of one system, entry by entry in Python complex
+    arithmetic: k_tilde[f, j] = K[f, 2j] - i K[f, 2j+1], and r_tilde[j, l] =
+    2 (R_qq + R_pp) + 2i (R_pq - R_qp) of the 2x2 block (j, l) of R."""
+    n, m = r.shape[0] // 2, k.shape[0]
+    k_tilde = np.zeros((m, n), dtype=complex)
+    for f in range(m):
+        for j in range(n):
+            k_tilde[f, j] = complex(k[f, 2 * j]) - 1j * complex(k[f, 2 * j + 1])
+    r_tilde = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for l in range(n):
+            (qq, qp), (pq, pp) = r[2 * j : 2 * j + 2, 2 * l : 2 * l + 2].tolist()
+            r_tilde[j, l] = 2.0 * (qq + pp) + 2j * (pq - qp)
+    return k_tilde, r_tilde
+
+
 def dropped_parts(k, r):
     """(k_defect, r_defect, |K|_max, |R|_max) over stacks k (..., m, 2n) and
     r (..., 2n, 2n), in one vectorized pass over the whole of each matrix:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -372,6 +373,18 @@ class TestStdout:
         digest = hashlib.sha256(stdout.removesuffix("\n").encode("utf-8")).hexdigest()
         assert digest == RealizationDocument.loads(stdout).digest()
 
+    @pytest.mark.parametrize("command", ["decompose", "passive-realize"])
+    def test_unwritable_out_is_an_input_error(
+        self, capsys, tmp_path, cascade_doc, reference_doc, command
+    ):
+        path = cascade_doc[0] if command == "decompose" else reference_doc[0]
+        out = tmp_path / "missing" / "out.json"
+        # run_cli reads exactly one JSON object: the error, with no document
+        code, payload = run_cli(capsys, command, path, "--out", str(out))
+        assert code == 1 and set(payload) == {"error", "kind"} and payload["kind"] == "input"
+        assert payload["error"].startswith(f"cannot write {out}: ")
+        assert not out.parent.exists()
+
     def test_every_payload_is_one_canonical_line(
         self, capsys, tmp_path, cascade_doc, reference_doc
     ):
@@ -413,6 +426,19 @@ class TestTf:
         assert code == 1 and payload["kind"] == "parse"
         code, payload = run_cli(capsys, "tf", path, "--points", " , ")
         assert code == 1
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400j", "1+nanj"])
+    def test_rejects_non_finite_points(self, capsys, cascade_doc, token):
+        path, _, _ = cascade_doc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["tf", path, "--points", f"1+2j,{token}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out) == {
+            "error": f"frequency {token!r} is not finite",
+            "kind": "parse",
+        }
 
     def test_frequency_on_spectrum_is_numeric_failure(self, capsys, tmp_path):
         sys_ = SlhSystem(
@@ -655,6 +681,18 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["tf", str(tmp_path / "x.json")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["passive-realize", "verify"])
+    def test_negative_seed_is_an_input_error(self, capsys, tmp_path, reference_doc, command):
+        path, _ = reference_doc
+        out = tmp_path / "out.json"
+        argv = [command, path, path] if command == "verify" else [command, path, "--out", str(out)]
+        code, payload = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 1 and payload == {
+            "error": "--seed must be an integer at least 0, got -1",
+            "kind": "input",
+        }
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -398,6 +398,6 @@ class TestStageSplit:
         for chain in (decompose_cascade(sys), CascadeChain(stages=one_mode_stages(sys))):
             assert chain.n == n
         # sys measured its own residuals when it was made, and the split
-        # measured sys once, per mode, and handed each stage its slice, so
+        # measured sys once, per mode, and judged each stage by its slice, so
         # no maxima are computed here, for sys or for a stage
         assert defects == [] and dropped == []

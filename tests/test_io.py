@@ -631,14 +631,20 @@ class TestRealizationStages:
         loaded = RealizationDocument.loads(text)
         assert loaded.to_chain().n == 6
         assert defects == [] and dropped == []
-        # the same numbers as each stage measured on its own, and the
-        # passivity scale of the chain
+        # a stage arrives with what it is judged by, the same numbers as the
+        # stage measured on its own, at the passivity scale of the chain
         sigma = ref.chain_sigma(stages)
         for stage in loaded.stages:
             fresh = SlhSystem(s=stage.s, k=stage.k, r=stage.r)
             assert stage.__dict__["_defects"] == fresh._defects
-            assert stage.__dict__["_dropped"] == fresh._dropped
             assert stage.__dict__["_passivity"] == fresh._passivity[:2] + (sigma,)
+            # what it drops is measured when asked for, and equals the slice
+            # of the decoding pass that its passivity figures came from
+            assert "_dropped" not in stage.__dict__
+            assert stage._dropped == fresh._dropped
+            assert stage._dropped[:2] == stage._passivity[:2]
+        # once per stage, each time on request
+        assert [x for x in dropped if x in loaded.stages] == list(loaded.stages)
 
     def test_decoded_stages_match_loop_oracle(self):
         # the stages of a realization, and general stages with one R
@@ -655,7 +661,10 @@ class TestRealizationStages:
             text = RealizationDocument(input_digest="0", stages=stages).dumps()
             for stage in RealizationDocument.loads(text).stages:
                 k_defect, r_defect, k_max, r_max = ref.mode_measures_oracle(stage.k, stage.r)
-                dropped = stage.__dict__["_dropped"]
+                # measured lazily, the same parts as the decoding slice
+                assert "_dropped" not in stage.__dict__
+                dropped = stage._dropped
+                assert dropped[:2] == stage._passivity[:2]
                 assert dropped[1::2] == (r_defect[0, 0], r_max[0, 0])
                 for x, y in zip(dropped[0::2], (k_defect[0], k_max[0])):
                     assert abs(x - y) <= 2.3e-16 * y

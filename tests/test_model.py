@@ -669,6 +669,26 @@ class TestPassiveFormMaps:
         assert np.array_equal(sys.k, ref.K_EXACT)
         assert np.array_equal(sys.r, ref.R_EXACT)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_form_is_the_systems_own_reduction(self, scale):
+        base = random_passive_system(4, 3, 21)
+        sys = SlhSystem(s=base.s, k=math.sqrt(scale) * base.k, r=scale * base.r)
+        pf = to_passive_form(sys)
+        # the system's cached, read-only form: no copy, no second check
+        assert isinstance(pf, PassiveForm)
+        assert to_passive_form(sys) is pf is sys._reduction
+        for a in (pf.r_tilde, pf.k_tilde):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        k_tilde, r_tilde = ref.reduction_oracle(sys.k, sys.r)
+        for a, b in ((pf.k_tilde, k_tilde), (pf.r_tilde, r_tilde)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        # the slices are the dense maps 2 K Sigma^dag and 8 Sigma R Sigma^dag
+        sg = annihilation_map(sys.n)
+        assert max_abs(pf.k_tilde - 2 * sys.k @ sg.conj().T) <= 1e-15 * max_abs(sys.k)
+        assert max_abs(pf.r_tilde - 8 * sg @ sys.r @ sg.conj().T) <= 1e-14 * max_abs(sys.r)
+
     def test_zero_system_reduces_to_zero(self):
         sys = SlhSystem(s=np.eye(1), k=np.zeros((1, 2)), r=np.zeros((2, 2)))
         pf = to_passive_form(sys)

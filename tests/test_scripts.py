@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cascade_synth
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -59,6 +61,39 @@ def test_passive_batch_names_a_failed_chain(capsys, monkeypatch):
     summary = json.loads(capsys.readouterr().out)
     assert code == 1 and summary["ok"] is False
     assert summary["failures"] == [{"case": case, "check": "chain_residual"} for case in range(3)]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--count", "0"], "--count"),
+        (["--count", "-2"], "--count"),
+        (["--max-modes", "0"], "--max-modes"),
+        (["--fields", "0"], "--fields"),
+        (["--degenerate-fraction", "1.5"], "--degenerate-fraction"),
+        (["--degenerate-fraction", "-0.1"], "--degenerate-fraction"),
+        (["--degenerate-fraction", "nan"], "--degenerate-fraction"),
+        (["--tol", "-1"], "--tol"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+    ],
+)
+def test_passive_batch_refuses_meaningless_arguments(capsys, argv, flag):
+    # no summary, so no verdict, for a batch that cannot certify anything
+    with pytest.raises(SystemExit) as exc:
+        load_script("passive_batch").main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"error: {flag} must" in captured.err
+
+
+def test_passive_batch_accepts_the_edges(capsys):
+    argv = ["--count", "1", "--max-modes", "1", "--fields", "1", "--degenerate-fraction", "1"]
+    code = load_script("passive_batch").main(argv)
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["ok"] is True
+    assert summary["count"] == 1 and summary["by_modes"]["1"]["cases"] == 1
 
 
 def test_reference_example_runs_clean():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cascade_synth import (
     CascadeChain,
-    OddDimension,
     PassiveForm,
     ResolventSingular,
     ScatteringMismatch,
@@ -133,6 +132,12 @@ class TestTransferFunction:
         ss = build_state_space(random_system(2, 1, 3))
         with pytest.raises(ValueError):
             transfer_function(ss, 1.0 + 1.0j)
+
+    @pytest.mark.parametrize("point", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), 1e308j * 10])
+    def test_rejects_non_finite_point(self, point):
+        ss = build_state_space(random_system(2, 1, 3))
+        with pytest.raises(ValueError, match="points must be finite"):
+            transfer_function(ss, [1.0 + 2.0j, point])
 
 
 class TestCertifyEquivalence:
@@ -425,7 +430,8 @@ class TestCertifySymplectic:
         assert not certify_symplectic(2.0 * np.eye(2))
 
     def test_input_validation(self):
-        with pytest.raises(OddDimension):
+        # V is checked once, by SymplecticTransform
+        with pytest.raises(ValueError, match="even dimension"):
             certify_symplectic(np.eye(3))
         with pytest.raises(ValueError):
             certify_symplectic(np.zeros((2, 4)))

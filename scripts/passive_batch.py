@@ -7,14 +7,16 @@ frequencies), runs passive_realize on each, and certifies the result with
 certify_realization, the checks passive-realize runs: triangularity of the
 transformed drift, symplecticity of the transform, transfer-function
 equivalence, per-stage passivity, and that the emitted chain rebuilds the
-transformed system.  A failed check is named by its certificate field.
-Prints one JSON summary to stdout and exits 0 only when every case
-certifies, so the script can gate CI runs or larger parameter sweeps.
-Besides the worst case, the summary gives the throughput (cases_per_s)
-and, for each mode count n, the p50, p95 and max of the transfer mismatch,
-of the upper-block residual, and of the seconds each case spent in
-passive_realize (realize_s) and in its certification (certify_s), in
-by_modes.
+transformed system.  A failed check is named by its certificate field; a
+case whose transformed drift misses triangularity so far that
+passive_realize raises NotCascadeRealizable fails the triangularity check
+and has no certificate.  Prints one JSON summary to stdout and exits 0 only
+when every case certifies, so the script can gate CI runs or larger
+parameter sweeps.  Besides the worst case, the summary gives the
+throughput (cases_per_s) and, for each mode count n, the p50, p95 and max
+over the certified cases of the transfer mismatch, of the upper-block
+residual, and of the seconds each case spent in passive_realize
+(realize_s) and in its certification (certify_s), in by_modes.
 
     python scripts/passive_batch.py --count 500 --max-modes 6 --seed 7
 """
@@ -27,7 +29,13 @@ import time
 
 import numpy as np
 
-from cascade_synth import DEFAULT_TOL, certify_realization, from_passive_form, passive_realize
+from cascade_synth import (
+    DEFAULT_TOL,
+    NotCascadeRealizable,
+    certify_realization,
+    from_passive_form,
+    passive_realize,
+)
 from cascade_synth.sampling import random_passive_form, random_unitary
 
 
@@ -41,9 +49,13 @@ def distribution(values):
 
 def certify_case(sys_, tol, seed):
     """Realize one system and certify the result; return the certificate
-    and the seconds spent in passive_realize and in the certification."""
+    and the seconds spent in passive_realize and in the certification, or
+    None when passive_realize finds the transformed drift not triangular."""
     t_realize = time.perf_counter()
-    realization = passive_realize(sys_, tol=tol)
+    try:
+        realization = passive_realize(sys_, tol=tol)
+    except NotCascadeRealizable:
+        return None
     t_certify = time.perf_counter()
     certificate = certify_realization(sys_, realization, tol, seed)
     t_done = time.perf_counter()
@@ -57,9 +69,10 @@ def run_batch(args):
     # per mode count: (max_rel_mismatch, max_upper_residual, realize_s,
     # certify_s) of each case
     by_modes = {}
-    # one untimed case first, so that no case's timings carry one-time set-up
-    # such as loading LAPACK
-    certify_case(from_passive_form(random_passive_form(2, 1, 0), s=np.eye(1)), args.tol, args.seed)
+    # one untimed case first, at the default tolerance and whatever its
+    # verdict, so that no case's timings carry one-time set-up such as
+    # loading LAPACK
+    certify_case(from_passive_form(random_passive_form(2, 1, 0), s=np.eye(1)), DEFAULT_TOL, 0)
     t0 = time.perf_counter()
     for case in range(args.count):
         n = int(rng.integers(1, args.max_modes + 1))
@@ -68,7 +81,11 @@ def run_batch(args):
         degenerate_count += degenerate
         pf = random_passive_form(n, m, rng, degenerate=degenerate)
         sys_ = from_passive_form(pf, s=random_unitary(m, rng))
-        certificate, realize_s, certify_s = certify_case(sys_, args.tol, args.seed)
+        result = certify_case(sys_, args.tol, args.seed)
+        if result is None:
+            failures.append({"case": case, "check": "triangularity"})
+            continue
+        certificate, realize_s, certify_s = result
         failures += [{"case": case, "check": check} for check in certificate.failed]
         by_modes.setdefault(n, []).append(
             (

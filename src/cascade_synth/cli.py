@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     except (ConvergenceFailure, ResolventSingular, OverflowError) as exc:
         _emit({"error": str(exc), "kind": "numeric"})
         return EXIT_NUMERIC
-    except (ValueError, CascadeSynthError) as exc:
+    except (ValueError, MemoryError, CascadeSynthError) as exc:  # MemoryError: a huge --samples
         _emit({"error": str(exc), "kind": "input"})
         return EXIT_INPUT
 

@@ -184,11 +184,11 @@ class SlhSystem:
     every check compares them against its own tolerance; a drift or
     passivity scale that is not finite raises OverflowError.  Systems the
     pipeline builds from checked values skip the constructor: the stages of
-    _stages are read-only views into locked stacks, judged in one pass over
-    them and preset with the residuals and passivity figures they are
-    judged by, the transformed system of passive_realize holds the arrays
-    it computed, locked, and so does the collapse of cascade, whose
-    unitarity residual can add up those of its stages.
+    _stages are read-only views into locked stacks, judged in one pass and
+    preset with the residuals and passivity figures they are judged by; the
+    transformed system of passive_realize and the collapse of cascade,
+    whose unitarity residual can add up those of its stages, hold the
+    arrays computed for them, locked.
     """
 
     s: ComplexMatrix
@@ -245,9 +245,9 @@ class SlhSystem:
 
     @cached_property
     def _reduction(self) -> PassiveForm:
-        """The system's own PassiveForm, its reduction to annihilation
-        variables by slicing, which holds new, finite, locked arrays
-        unchecked: k_tilde = 2 K Sigma^dag = K[:, 0::2] - i K[:, 1::2], and
+        """The system's own PassiveForm: the form it was expanded from, if
+        any, else its reduction to annihilation variables by slicing, new,
+        finite, locked arrays: k_tilde = K[:, 0::2] - i K[:, 1::2], and
         r_tilde = 8 Sigma R Sigma^dag is 2 (R_qq + R_pp) + 2i (R_pq - R_qp)
         on the strided quarters of R (R_qp = R[0::2, 1::2], and so on)."""
         k = self.k
@@ -477,25 +477,35 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
     return sys._reduction
 
 
+def _expansion(pf: PassiveForm) -> tuple[ComplexMatrix, RealMatrix]:
+    """The quadrature expansion (K, R) of pf, new arrays: K = k_tilde Sigma,
+    whose column pair j is (k_j/2, i k_j/2) for column j of k_tilde, and
+    R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4."""
+    k = np.empty((pf.m, 2 * pf.n), dtype=complex)
+    k[:, 0::2] = pf.k_tilde / 2
+    k[:, 1::2] = 1j * pf.k_tilde / 2
+    return k, realify(pf.r_tilde) / 4
+
+
 def from_passive_form(pf: PassiveForm, s: ComplexMatrix) -> SlhSystem:
     """Expand an annihilation-variable description into quadratures.
 
-    K = k_tilde Sigma, whose column pair j is (k_j/2, i k_j/2) for column j
-    of k_tilde, and R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4;
-    the resulting diagonal 2x2 blocks of R are scalar multiples of the
-    identity, the hallmark of a passive Hamiltonian.  R is symmetric
+    The system holds the expansion (see _expansion), whose diagonal 2x2
+    blocks of R are scalar multiples of the identity, the hallmark of a
+    passive Hamiltonian, and keeps pf as its own reduction, so
+    to_passive_form(from_passive_form(pf, s)) is pf.  R is symmetric
     exactly when r_tilde is Hermitian, so SlhSystem's symmetry test is the
     one judge of both, comparing the largest real or imaginary part of
     r_tilde - r_tilde^dag with that of r_tilde.  Raises what SlhSystem
     raises, with NonHermitianRtilde in place of NonSymmetricR.
     """
-    k = np.empty((pf.m, 2 * pf.n), dtype=complex)
-    k[:, 0::2] = pf.k_tilde / 2
-    k[:, 1::2] = 1j * pf.k_tilde / 2
+    k, r = _expansion(pf)
     try:
-        return SlhSystem(s=s, k=k, r=realify(pf.r_tilde) / 4)
+        system = SlhSystem(s=s, k=k, r=r)
     except NonSymmetricR:
         raise NonHermitianRtilde(
             f"R_tilde must be Hermitian within {DEFAULT_TOL:.1e} of its largest "
             "real or imaginary part"
         ) from None
+    system.__dict__["_reduction"] = pf
+    return system

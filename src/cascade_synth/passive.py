@@ -1,11 +1,11 @@
 """Symplectic cascade synthesis for passive systems.
 
 Every passive system admits a cascade realization after a change of
-canonical variables: reduce the Hamiltonian and coupling to the n x n mode
-matrix M, lower-triangularize M with a complex Schur decomposition, embed
-the Schur unitary as a real orthogonal symplectic matrix V on the
-quadratures, and split the transformed system (S, K V^T, V R V^T) into
-one-mode passive stages.
+canonical variables: reduce it to annihilation variables and the n x n mode
+matrix M, lower-triangularize M with a complex Schur decomposition, rotate
+the passive form by the Schur unitary U, and split its quadrature expansion
+into one-mode passive stages.  V = realify(U), real orthogonal symplectic,
+is the same change of variables on the quadratures.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .model import (
     RealMatrix,
     SlhSystem,
     _as_real,
+    _expansion,
     _readonly,
     _unchecked,
     max_abs,
@@ -174,36 +175,33 @@ def build_symplectic(u: ComplexMatrix, tol_unitary=DEFAULT_TOL) -> SymplecticTra
 
 
 def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
-    """Construct a cascade realization of a passive system.
-
-    Returns the transformed system G' = (S, K V^T, V R V^T), which has the
-    same transfer function as the input and a lower 2x2-block-triangular
-    drift matrix, together with the symplectic transform V and the cascade
-    chain of one-mode stages.  Every stage is itself passive, with diagonal
-    Hamiltonian blocks that are real multiples of the identity.  V R V^T is
-    symmetrized, (X + X^T)/2, so that its rounding asymmetry, which grows
-    with |R|, never trips the symmetry check of a later certification.
+    """Construct a cascade realization of a passive system: the transformed
+    system, with the input's transfer function and a lower 2x2-block
+    triangular drift, the transform V and the chain of one-mode stages.
     Raises NotPassive for a non-passive input.
 
-    The steps are the package's own: schur_lower(mode_matrix(
-    to_passive_form(sys, tol))), V = realify(U) with no second unitarity
-    test of LAPACK's U (ccr_preservation measures V), a transformed system
-    that shares S with the input and holds K V^T and the symmetrized V R V^T
-    uncopied, not judged again (its residuals are those of S and exactly 0),
-    and decompose_cascade.
+    With pf = to_passive_form(sys, tol) and U from schur_lower(mode_matrix(
+    pf)), the system in the variables a' = U a is the rotated form
+    (herm(U r_tilde U^dag), k_tilde U^dag), herm(X) = (X + X^dag)/2.  The
+    transformed system is its expansion with the input's S, bit for bit
+    from_passive_form(rotated, S), kept with rotated as its reduction and
+    not judged again (its residuals are those of S and exactly 0).  Every
+    stage decompose_cascade splits off it is exactly passive: coupling
+    (k'_j/2, i k'_j/2), Hamiltonian (r'_jj/4) I.  V = realify(U) is not
+    tested here; ccr_preservation measures it.
     """
-    u, _ = schur_lower(mode_matrix(to_passive_form(sys, tol)))
-    v = _readonly(realify(u))
-    r = v @ sys.r @ v.T
+    pf = to_passive_form(sys, tol)
+    u, _ = schur_lower(mode_matrix(pf))
+    u_dag = u.conj().T
+    x = u @ pf.r_tilde @ u_dag
+    r_tilde, k_tilde = _readonly((x + x.conj().T) / 2), _readonly(pf.k_tilde @ u_dag)
+    rotated = _unchecked(PassiveForm, r_tilde=r_tilde, k_tilde=k_tilde)
+    k, r = map(_readonly, _expansion(rotated))
     transformed = _unchecked(
-        SlhSystem,
-        s=sys.s,
-        k=_readonly(sys.k @ v.T),
-        r=_readonly((r + r.T) / 2),
-        _defects=(sys._defects[0], 0.0),
+        SlhSystem, s=sys.s, k=k, r=r, _defects=(sys._defects[0], 0.0), _reduction=rotated
     )
     return PassiveRealization(
         system=transformed,
-        transform=_unchecked(SymplecticTransform, v=v),
+        transform=_unchecked(SymplecticTransform, v=_readonly(realify(u))),
         chain=decompose_cascade(transformed, tol),
     )

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import cascade_synth
+from cascade_synth.sampling import random_passive_system
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,3 +80,21 @@ def test_workload_call_binds_to_its_signature(call):
         assert set(keywords) - {None} <= set(signature.parameters)
     else:
         signature.bind(*call.args, **dict.fromkeys(keywords))
+
+
+def test_spans_nest_as_the_benchmark_reads_them():
+    # the benchmark reports each span's self time net of the spans it opens:
+    # passive_realize opens decompose_cascade, which opens is_cascade_realizable
+    original = cascade_synth.passive_realize
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        cascade_synth.passive_realize(random_passive_system(3, 2, 0))
+    finally:
+        tracer.uninstall()
+    assert cascade_synth.passive_realize is original
+    name_of = {span[0]: span[1] for span in tracer.spans}
+    opened_by = {name: name_of.get(parent) for _, name, _, _, parent, _ in tracer.spans}
+    assert opened_by["passive.passive_realize"] is None
+    assert opened_by["realizability.decompose_cascade"] == "passive.passive_realize"
+    assert opened_by["realizability.is_cascade_realizable"] == "realizability.decompose_cascade"

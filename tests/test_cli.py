@@ -275,6 +275,24 @@ class TestPassiveRealize:
         assert code == 0 and stages_passive is True
         assert all(is_passive(stage) for stage in loaded.stages) is stages_passive
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
+    def test_defective_mode_matrix_realizes(self, capsys, tmp_path, n, seed):
+        # M is one rotated Jordan block: one eigenvalue, one eigenvector
+        r_tilde, k_tilde = ref.defective_passive_form(n, random_unitary(n, seed))
+        doc = SystemDocument(
+            form="passive",
+            s=random_unitary(n, seed + 1),
+            k_tilde=k_tilde,
+            r_tilde=(r_tilde + r_tilde.conj().T) / 2,
+        )
+        code, payload = run_cli(capsys, "passive-realize", write_doc(tmp_path, "d.json", doc))
+        reports = payload["reports"]
+        assert code == 0 and reports["stages_passive"] is True
+        assert reports["triangularity"]["is_triangular"] is True
+        assert reports["equivalence"]["max_rel_mismatch"] <= 1e-12
+        for stage in RealizationDocument.from_dict(payload).stages:
+            assert stage._passivity[:2] == (0.0, 0.0)
+
     def test_rejects_non_passive_system(self, capsys, tmp_path):
         sys_ = random_system(2, 2, 77)
         path = write_doc(tmp_path, "active.json", SystemDocument.from_system(sys_))
@@ -489,6 +507,16 @@ class TestVerify:
         bumped = SlhSystem(s=combined.s, k=1.01 * combined.k, r=combined.r)
         other = write_doc(tmp_path, "bumped.json", SystemDocument.from_system(bumped))
         code, payload = run_cli(capsys, "verify", path, other, "--samples", samples)
+        assert code == 1 and payload["kind"] == "input"
+        assert "verdict" not in payload
+
+
+    @pytest.mark.parametrize("fixture", ["cascade_doc", "reference_doc"])
+    def test_samples_beyond_memory_are_an_input_error(self, capsys, request, fixture):
+        # 10^15 samples ask for 14.2 PiB of sample points at once, which no
+        # host grants, so the allocation fails at once, on either route
+        path = request.getfixturevalue(fixture)[0]
+        code, payload = run_cli(capsys, "verify", path, path, "--samples", "1000000000000000")
         assert code == 1 and payload["kind"] == "input"
         assert "verdict" not in payload
 

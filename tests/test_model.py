@@ -17,13 +17,16 @@ from cascade_synth import (
     SlhSystem,
     build_state_space,
     certify_equivalence,
+    decompose_cascade,
     drift_matrix,
     from_passive_form,
     is_cascade_realizable,
     is_passive,
     max_abs,
+    mode_matrix,
     one_mode_stages,
     passive_realize,
+    schur_lower,
     to_passive_form,
 )
 from cascade_synth.model import DEFAULT_TOL, _unchecked, realify, theta_times
@@ -37,6 +40,7 @@ from cascade_synth.sampling import (
 
 import reference_data as ref
 from reference_data import J2, annihilation_map, symplectic_form
+from test_passive import quadrature_rotation
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -495,14 +499,17 @@ class TestComputeOnce:
             maxima.clear()
 
     def test_stage_of_a_zero_frequency_mode_is_passive(self):
-        # a decoupled mode of zero frequency: its stage is zero up to the
-        # rounding of the whole system, so it is judged at its chain's
-        # scale, in the split and read back from a document alike
+        # a decoupled mode of zero frequency, rotated on the quadratures
+        # (S, K V^T, sym(V R V^T)): its stage is zero up to the rounding of
+        # the whole system, so it is judged at its chain's scale, in the
+        # split and read back from a document alike
         alone_not_passive = 0
         for seed in range(20):
             sys = zero_mode_system(seed)
             assert is_passive(sys)
-            stages = passive_realize(sys).chain.stages
+            u, _ = schur_lower(mode_matrix(to_passive_form(sys)))
+            k, r = quadrature_rotation(sys, realify(u))
+            stages = decompose_cascade(SlhSystem(s=sys.s, k=k, r=r)).stages
             assert all(is_passive(stage) for stage in stages)
             text = RealizationDocument(input_digest="0", stages=stages).dumps()
             assert all(is_passive(stage) for stage in RealizationDocument.loads(text).stages)

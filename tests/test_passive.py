@@ -14,6 +14,7 @@ from cascade_synth import (
     NonUnitaryInput,
     NotPassive,
     PassiveForm,
+    RealizationDocument,
     SlhSystem,
     build_symplectic,
     cascade,
@@ -301,6 +302,25 @@ def transform_system(sys, v):
     return SlhSystem(s=sys.s, k=sys.k @ v.T, r=v @ sys.r @ v.T)
 
 
+def public_route(sys):
+    """The transformed system of passive_realize and V, through the public
+    constructors: U from the Schur step, the rotated form
+    ((X + X^dag)/2 for X = U r_tilde U^dag, k_tilde U^dag), its expansion
+    by from_passive_form, and build_symplectic(U).v."""
+    pf = to_passive_form(sys)
+    u, _ = schur_lower(mode_matrix(pf))
+    x = u @ pf.r_tilde @ u.conj().T
+    rotated = PassiveForm(r_tilde=(x + x.conj().T) / 2, k_tilde=pf.k_tilde @ u.conj().T)
+    return from_passive_form(rotated, sys.s), build_symplectic(u).v
+
+
+def quadrature_rotation(sys, v):
+    """(K V^T, (X + X^T)/2 for X = V R V^T): the same change of variables
+    made on the quadratures."""
+    r = v @ sys.r @ v.T
+    return sys.k @ v.T, (r + r.T) / 2
+
+
 class TestPassiveRealize:
     def test_reference_seeded_with_printed_unitary(self, reference_system):
         # pinned transform: drive the rotation with the published unitary
@@ -339,24 +359,26 @@ class TestPassiveRealize:
         assert report.is_triangular
         assert certify_symplectic(transform.v, tol=1e-9)
         assert np.array_equal(moved.s, sys.s)
-        assert max_abs(moved.k - sys.k @ transform.v.T) == 0.0
-        rotated = transform.v @ sys.r @ transform.v.T
-        assert max_abs(moved.r - (rotated + rotated.T) / 2) == 0.0
+        public, v = public_route(sys)
+        assert np.array_equal(transform.v, v)
+        for a, b in ((moved.k, public.k), (moved.r, public.r)):
+            assert a.tobytes() == b.tobytes()
         assert np.array_equal(moved.r, moved.r.T)
+        # the rotation of the quadratures, (S, K V^T, sym(V R V^T)), agrees
+        k_quad, r_quad = quadrature_rotation(sys, v)
+        assert max_abs(moved.k - k_quad) <= 1e-13 * max_abs(k_quad)
+        assert max_abs(moved.r - r_quad) <= 1e-13 * max_abs(r_quad)
         assert chain.n == n and chain.residual_r is None
         assert certify_equivalence(sys, moved).verdict
 
     @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 2, 1), (6, 4, 2), (4, 0, 3)])
     def test_pipeline_matches_the_public_constructors(self, n, m, seed):
-        # passive_realize builds from the checked input without PassiveForm,
-        # build_symplectic or the SlhSystem constructor; the public route
-        # through them gives the same bits
+        # passive_realize builds from the checked input without the
+        # PassiveForm or SlhSystem constructors or build_symplectic; the
+        # public route through them gives the same bits
         sys = random_passive_system(n, m, seed)
         moved, transform, chain = passive_realize(sys)
-        u, _ = schur_lower(mode_matrix(to_passive_form(sys)))
-        v = build_symplectic(u).v
-        rotated = v @ sys.r @ v.T
-        public = SlhSystem(s=sys.s, k=sys.k @ v.T, r=(rotated + rotated.T) / 2)
+        public, v = public_route(sys)
         assert transform.v.tobytes() == v.tobytes()
         for a, b in ((moved.s, public.s), (moved.k, public.k), (moved.r, public.r)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -364,12 +386,21 @@ class TestPassiveRealize:
                 a[0, 0] = 1.0
         with pytest.raises(ValueError):
             transform.v[0, 0] = 1.0
+        # the transformed system keeps the rotated form as its reduction
+        form, expanded = to_passive_form(moved), to_passive_form(public)
+        for a, b in ((form.r_tilde, expanded.r_tilde), (form.k_tilde, expanded.k_tilde)):
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
         # the residuals set on the transformed system are the ones it would compute
         assert moved._defects == public._defects
         assert moved._defects[1] == 0.0
         assert [st.r.tobytes() for st in chain.stages] == [
             st.r.tobytes() for st in decompose_cascade(public).stages
         ]
+        k_quad, r_quad = quadrature_rotation(sys, v)
+        assert max_abs(moved.k - k_quad) <= 1e-13 * max_abs(k_quad)
+        assert max_abs(moved.r - r_quad) <= 1e-13 * max_abs(r_quad)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_large_scale_realization_certifies(self, seed):
@@ -446,3 +477,58 @@ class TestPassiveRealize:
         moved, _, chain = passive_realize(reference_system)
         for j, stage in enumerate(chain.stages):
             assert np.array_equal(stage.k, moved.k[:, 2 * j : 2 * j + 2])
+
+
+def exact_stage_cases():
+    """Passive systems at scales from 1e-8 to 1e8 (R by c, K by sqrt(c)),
+    with generic and degenerate spectra, with a defective mode matrix, and
+    with no fields."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for degenerate in (False, True):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            unit = random_passive_system(n, m, rng, degenerate=degenerate)
+            system = SlhSystem(s=unit.s, k=np.sqrt(c) * unit.k, r=c * unit.r)
+            cases.append(pytest.param(system, id=f"c{c:g}-n{n}-m{m}-degenerate{degenerate}"))
+    for n in (2, 5):
+        r_tilde, k_tilde = ref.defective_passive_form(n, random_unitary(n, rng))
+        pf = PassiveForm(r_tilde=(r_tilde + r_tilde.conj().T) / 2, k_tilde=k_tilde)
+        system = from_passive_form(pf, random_unitary(n, rng))
+        cases.append(pytest.param(system, id=f"defective-n{n}"))
+    cases.append(pytest.param(random_passive_system(4, 0, rng), id="no-fields"))
+    return cases
+
+
+def assert_exactly_passive(stages):
+    """Each stage drops exactly nothing on reduction to annihilation
+    variables, as split and as a fresh system judged at its own scale."""
+    for stage in stages:
+        assert stage._passivity[:2] == (0.0, 0.0)
+        alone = SlhSystem(s=np.array(stage.s), k=np.array(stage.k), r=np.array(stage.r))
+        assert alone._passivity[:2] == (0.0, 0.0)
+        assert is_passive(alone, tol=0.0)
+
+
+class TestExactStages:
+    @pytest.mark.parametrize("sys", exact_stage_cases())
+    def test_every_stage_is_exactly_passive(self, sys):
+        moved, _, chain = passive_realize(sys)
+        assert_exactly_passive(chain.stages)
+        # each stage is its slice of the rotated form's expansion:
+        # coupling (k'_j/2, i k'_j/2) and Hamiltonian (r'_jj/4) I
+        form = to_passive_form(moved, tol=0.0)
+        for j, stage in enumerate(chain.stages):
+            k_j, r_jj = form.k_tilde[:, j], form.r_tilde[j, j]
+            assert r_jj.imag == 0.0
+            assert np.array_equal(stage.k, np.stack([k_j / 2, 1j * k_j / 2], axis=1))
+            assert np.array_equal(stage.r, (r_jj.real / 4) * np.eye(2))
+
+    @pytest.mark.parametrize("sys", exact_stage_cases())
+    def test_exact_passivity_survives_the_document(self, sys):
+        stages = passive_realize(sys).chain.stages
+        text = RealizationDocument(input_digest="0", stages=stages).dumps()
+        loaded = RealizationDocument.loads(text).stages
+        assert_exactly_passive(loaded)
+        for a, b in zip(stages, loaded):
+            assert np.array_equal(a.k, b.k) and np.array_equal(a.r, b.r)

@@ -96,6 +96,38 @@ def test_passive_batch_accepts_the_edges(capsys):
     assert summary["count"] == 1 and summary["by_modes"]["1"]["cases"] == 1
 
 
+def test_passive_batch_warm_up_does_not_decide_the_run(capsys):
+    # at --tol 0 the untimed warm-up case may miss triangularity by rounding;
+    # only the drawn one-mode case, triangular exactly, is judged
+    argv = ["--count", "1", "--max-modes", "1", "--fields", "1", "--tol", "0"]
+    code = load_script("passive_batch").main(argv)
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["ok"] is True and summary["failures"] == []
+    assert summary["by_modes"]["1"]["cases"] == 1
+
+
+def finite_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not finite JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-17"])
+def test_passive_batch_counts_a_raising_case_as_failed_triangularity(capsys, tol):
+    # passive_realize raises NotCascadeRealizable when the transformed drift
+    # misses a tolerance below rounding: that case fails triangularity, and
+    # the summary of the rest stays finite
+    code = load_script("passive_batch").main(["--count", "5", "--tol", tol])
+    summary = finite_json(capsys.readouterr().out)
+    assert code == 1 and summary["ok"] is False
+    failures = summary["failures"]
+    assert failures and {f["check"] for f in failures} == {"triangularity"}
+    raised = len({f["case"] for f in failures})
+    assert sum(entry["cases"] for entry in summary["by_modes"].values()) == 5 - raised
+    assert summary["cases_per_s"] > 0
+
+
 def test_reference_example_runs_clean():
     env = dict(os.environ, PYTHONPATH=str(Path(cascade_synth.__file__).parents[1]))
     proc = subprocess.run(

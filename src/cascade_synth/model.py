@@ -245,11 +245,12 @@ class SlhSystem:
 
     @cached_property
     def _reduction(self) -> PassiveForm:
-        """The system's own PassiveForm: the form it was expanded from, if
-        any, else its reduction to annihilation variables by slicing, new,
-        finite, locked arrays: k_tilde = K[:, 0::2] - i K[:, 1::2], and
-        r_tilde = 8 Sigma R Sigma^dag is 2 (R_qq + R_pp) + 2i (R_pq - R_qp)
-        on the strided quarters of R (R_qp = R[0::2, 1::2], and so on)."""
+        """The system's own PassiveForm: the passive form it was expanded
+        from, if any, else its reduction to annihilation variables by
+        slicing, new, finite, locked arrays: k_tilde = K[:, 0::2] -
+        i K[:, 1::2], and r_tilde = 8 Sigma R Sigma^dag is 2 (R_qq + R_pp) +
+        2i (R_pq - R_qp) on the strided quarters of R (R_qp = R[0::2, 1::2],
+        and so on)."""
         k = self.k
         qq, qp, pq, pp = _quarters(self.r)
         return _unchecked(
@@ -477,14 +478,29 @@ def to_passive_form(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveForm:
     return sys._reduction
 
 
-def _expansion(pf: PassiveForm) -> tuple[ComplexMatrix, RealMatrix]:
+def _creation(sys: SlhSystem) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """The parts (k_c, r_c) on the creation variables a^# that the reduction
+    to annihilation variables drops: k_c = K[:, 0::2] + i K[:, 1::2] and
+    r_c = 2 (R_qq - R_pp) + 2i (R_qp + R_pq) (see _expansion)."""
+    qq, qp, pq, pp = _quarters(sys.r)
+    return sys.k[:, 0::2] + 1j * sys.k[:, 1::2], 2.0 * (qq - pp) + 2j * (qp + pq)
+
+
+def _expansion(pf: PassiveForm, creation=None) -> tuple[ComplexMatrix, RealMatrix]:
     """The quadrature expansion (K, R) of pf, new arrays: K = k_tilde Sigma,
     whose column pair j is (k_j/2, i k_j/2) for column j of k_tilde, and
-    R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4."""
+    R = Re(Sigma^dag r_tilde Sigma) = realify(r_tilde)/4.  Creation parts
+    (k_c, r_c) add k_c Sigma^#, column pair (c_j/2, -i c_j/2), to K and
+    realify(r_c)/4 with its odd columns negated to R."""
     k = np.empty((pf.m, 2 * pf.n), dtype=complex)
     k[:, 0::2] = pf.k_tilde / 2
     k[:, 1::2] = 1j * pf.k_tilde / 2
-    return k, realify(pf.r_tilde) / 4
+    r = realify(pf.r_tilde) / 4
+    if creation is not None:
+        k[:, 0::2] += creation[0] / 2
+        k[:, 1::2] -= 1j * creation[0] / 2
+        r += realify(creation[1]) * np.tile([0.25, -0.25], pf.n)
+    return k, r
 
 
 def from_passive_form(pf: PassiveForm, s: ComplexMatrix) -> SlhSystem:

@@ -28,6 +28,7 @@ from .model import (
     RealMatrix,
     SlhSystem,
     _as_real,
+    _creation,
     _expansion,
     _readonly,
     _unchecked,
@@ -182,13 +183,16 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
 
     With pf = to_passive_form(sys, tol) and U from schur_lower(mode_matrix(
     pf)), the system in the variables a' = U a is the rotated form
-    (herm(U r_tilde U^dag), k_tilde U^dag), herm(X) = (X + X^dag)/2.  The
-    transformed system is its expansion with the input's S, bit for bit
-    from_passive_form(rotated, S), kept with rotated as its reduction and
-    not judged again (its residuals are those of S and exactly 0).  Every
-    stage decompose_cascade splits off it is exactly passive: coupling
-    (k'_j/2, i k'_j/2), Hamiltonian (r'_jj/4) I.  V = realify(U) is not
-    tested here; ccr_preservation measures it.
+    (herm(U r_tilde U^dag), k_tilde U^dag), herm(X) = (X + X^dag)/2; the
+    transformed system, expanded from it with the input's S, keeps it as
+    its reduction and is not judged again (its residuals are those of S
+    and exactly 0).  For an input that drops nothing on reduction this is
+    bit for bit from_passive_form(rotated, S), and every stage is exactly
+    passive: coupling (k'_j/2, i k'_j/2), Hamiltonian (r'_jj/4) I.  What an
+    input passive only within tol drops is rotated by U^T and expanded
+    along (see _creation), so the transformed system stays the input's
+    similarity.  V = realify(U) is not tested here; ccr_preservation
+    measures it.
     """
     pf = to_passive_form(sys, tol)
     u, _ = schur_lower(mode_matrix(pf))
@@ -196,7 +200,12 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     x = u @ pf.r_tilde @ u_dag
     r_tilde, k_tilde = _readonly((x + x.conj().T) / 2), _readonly(pf.k_tilde @ u_dag)
     rotated = _unchecked(PassiveForm, r_tilde=r_tilde, k_tilde=k_tilde)
-    k, r = map(_readonly, _expansion(rotated))
+    creation = None
+    if any(sys._passivity[:2]):
+        k_c, r_c = _creation(sys)
+        y = u @ r_c @ u.T
+        creation = (k_c @ u.T, (y + y.T) / 2)
+    k, r = map(_readonly, _expansion(rotated, creation))
     transformed = _unchecked(
         SlhSystem, s=sys.s, k=k, r=r, _defects=(sys._defects[0], 0.0), _reduction=rotated
     )

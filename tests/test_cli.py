@@ -33,7 +33,7 @@ from cascade_synth.cli import main
 from cascade_synth.sampling import random_chain, random_passive_form, random_system, random_unitary
 from cascade_synth.verification import EQUIVALENCE_SAMPLES, EQUIVALENCE_TOL
 from test_model import SCALES, bumped_passive, coupled_system, rounded_hermitian, zero_mode_system
-from test_passive import failing_zgees
+from test_passive import failing_zgees, near_passive
 
 import reference_data as ref
 
@@ -292,6 +292,18 @@ class TestPassiveRealize:
         assert reports["equivalence"]["max_rel_mismatch"] <= 1e-12
         for stage in RealizationDocument.from_dict(payload).stages:
             assert stage._passivity[:2] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("parts", ["k", "r"])
+    def test_passive_within_a_loose_tolerance_realizes(self, capsys, tmp_path, parts):
+        # a creation coupling or a non-scalar R block of ~1e-7 of the
+        # passivity scale: passive at --tol 1e-6, and the realization keeps
+        # that part, so its transfer function is the input's to rounding
+        doc = SystemDocument.from_system(near_passive(3, 2, 4, 1e-7, parts))
+        path = write_doc(tmp_path, "near.json", doc)
+        code, payload = run_cli(capsys, "passive-realize", path)
+        assert code == 3 and payload["kind"] == "precondition"
+        code, payload = run_cli(capsys, "passive-realize", path, "--tol", "1e-6")
+        assert code == 0 and payload["reports"]["equivalence"]["max_rel_mismatch"] <= 1e-12
 
     def test_rejects_non_passive_system(self, capsys, tmp_path):
         sys_ = random_system(2, 2, 77)

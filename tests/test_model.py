@@ -40,7 +40,7 @@ from cascade_synth.sampling import (
 
 import reference_data as ref
 from reference_data import J2, annihilation_map, symplectic_form
-from test_passive import quadrature_rotation
+from test_passive import transform_system
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -508,8 +508,7 @@ class TestComputeOnce:
             sys = zero_mode_system(seed)
             assert is_passive(sys)
             u, _ = schur_lower(mode_matrix(to_passive_form(sys)))
-            k, r = quadrature_rotation(sys, realify(u))
-            stages = decompose_cascade(SlhSystem(s=sys.s, k=k, r=r)).stages
+            stages = decompose_cascade(transform_system(sys, realify(u))).stages
             assert all(is_passive(stage) for stage in stages)
             text = RealizationDocument(input_digest="0", stages=stages).dumps()
             assert all(is_passive(stage) for stage in RealizationDocument.loads(text).stages)

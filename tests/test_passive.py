@@ -299,7 +299,32 @@ class TestBuildSymplectic:
 
 
 def transform_system(sys, v):
-    return SlhSystem(s=sys.s, k=sys.k @ v.T, r=v @ sys.r @ v.T)
+    """(S, K V^T, (X + X^T)/2 for X = V R V^T): the change of variables
+    x' = V x made on the quadratures."""
+    r = v @ sys.r @ v.T
+    return SlhSystem(s=sys.s, k=sys.k @ v.T, r=(r + r.T) / 2)
+
+
+def near_passive(n, m, seed, eps, parts="kr"):
+    """A passive system (n modes, m fields) with what the reduction to
+    annihilation variables drops set to eps of the passivity scale sigma:
+    with "k" in parts a coupling k_c Sigma^# to the creation variables,
+    |k_c|_max = eps sqrt(sigma), and with "r" a symmetric R part of
+    max-norm eps sigma / 2 outside annihilation variables."""
+    sys = from_passive_form(random_passive_form(n, m, seed), random_unitary(m, seed + 1))
+    k, r = np.array(sys.k), np.array(sys.r)
+    sigma = max_abs(r) + max_abs(k) ** 2
+    rng = np.random.default_rng(seed)
+    if "k" in parts:
+        k_c = _complex_gaussian(rng, (m, n))
+        k_c *= eps * np.sqrt(sigma) / max_abs(k_c)
+        k[:, 0::2] += k_c / 2
+        k[:, 1::2] -= 1j * k_c / 2
+    if "r" in parts:
+        x = rng.normal(size=(2 * n, 2 * n))
+        x = x + x.T
+        r += eps * sigma * x / (2 * max_abs(x))
+    return SlhSystem(s=sys.s, k=k, r=r)
 
 
 def public_route(sys):
@@ -312,13 +337,6 @@ def public_route(sys):
     x = u @ pf.r_tilde @ u.conj().T
     rotated = PassiveForm(r_tilde=(x + x.conj().T) / 2, k_tilde=pf.k_tilde @ u.conj().T)
     return from_passive_form(rotated, sys.s), build_symplectic(u).v
-
-
-def quadrature_rotation(sys, v):
-    """(K V^T, (X + X^T)/2 for X = V R V^T): the same change of variables
-    made on the quadratures."""
-    r = v @ sys.r @ v.T
-    return sys.k @ v.T, (r + r.T) / 2
 
 
 class TestPassiveRealize:
@@ -365,9 +383,9 @@ class TestPassiveRealize:
             assert a.tobytes() == b.tobytes()
         assert np.array_equal(moved.r, moved.r.T)
         # the rotation of the quadratures, (S, K V^T, sym(V R V^T)), agrees
-        k_quad, r_quad = quadrature_rotation(sys, v)
-        assert max_abs(moved.k - k_quad) <= 1e-13 * max_abs(k_quad)
-        assert max_abs(moved.r - r_quad) <= 1e-13 * max_abs(r_quad)
+        quad = transform_system(sys, v)
+        assert max_abs(moved.k - quad.k) <= 1e-13 * max_abs(quad.k)
+        assert max_abs(moved.r - quad.r) <= 1e-13 * max_abs(quad.r)
         assert chain.n == n and chain.residual_r is None
         assert certify_equivalence(sys, moved).verdict
 
@@ -398,9 +416,9 @@ class TestPassiveRealize:
         assert [st.r.tobytes() for st in chain.stages] == [
             st.r.tobytes() for st in decompose_cascade(public).stages
         ]
-        k_quad, r_quad = quadrature_rotation(sys, v)
-        assert max_abs(moved.k - k_quad) <= 1e-13 * max_abs(k_quad)
-        assert max_abs(moved.r - r_quad) <= 1e-13 * max_abs(r_quad)
+        quad = transform_system(sys, v)
+        assert max_abs(moved.k - quad.k) <= 1e-13 * max_abs(quad.k)
+        assert max_abs(moved.r - quad.r) <= 1e-13 * max_abs(quad.r)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_large_scale_realization_certifies(self, seed):
@@ -471,6 +489,24 @@ class TestPassiveRealize:
         assert not is_passive(sys)
         with pytest.raises(NotPassive):
             passive_realize(sys)
+
+    @pytest.mark.parametrize("parts", ["k", "r", "kr"])
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (3, 2, 1), (5, 3, 2)])
+    def test_near_passive_input_keeps_its_transfer_function(self, n, m, seed, c, parts):
+        # passive only within a loose tol: what the reduction drops is
+        # rotated along with the passive form, by U^T, so the transformed
+        # system is the input's similarity, not its passive projection's
+        unit = near_passive(n, m, seed, 5e-7, parts)
+        sys = SlhSystem(s=unit.s, k=np.sqrt(c) * unit.k, r=c * unit.r)
+        assert not is_passive(sys) and is_passive(sys, tol=1e-6)
+        moved, transform, _ = passive_realize(sys, tol=1e-6)
+        quad = transform_system(sys, transform.v)
+        assert max_abs(moved.k - quad.k) <= 1e-13 * max_abs(quad.k)
+        assert max_abs(moved.r - quad.r) <= 1e-13 * max_abs(quad.r)
+        assert np.array_equal(moved.r, moved.r.T) and moved._defects[1] == 0.0
+        report = certify_equivalence(sys, moved)
+        assert report.verdict and report.max_rel_mismatch <= 1e-12
 
     def test_transformed_stage_couplings_match_rotated_mode_couplings(self, reference_system):
         # K' column pairs carry the per-stage couplings of the cascade

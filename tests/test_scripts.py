@@ -27,6 +27,7 @@ def test_passive_batch_certifies_every_case(capsys):
     assert code == 0
     assert summary["ok"] is True
     assert summary["count"] == 20 and summary["failures"] == []
+    assert summary["uncertified"] == 0
     assert summary["cases_per_s"] > 0
     by_modes = summary["by_modes"]
     assert set(by_modes) <= {str(n) for n in range(1, 6)}
@@ -124,8 +125,23 @@ def test_passive_batch_counts_a_raising_case_as_failed_triangularity(capsys, tol
     failures = summary["failures"]
     assert failures and {f["check"] for f in failures} == {"triangularity"}
     raised = len({f["case"] for f in failures})
+    assert summary["uncertified"] == raised
     assert sum(entry["cases"] for entry in summary["by_modes"].values()) == 5 - raised
     assert summary["cases_per_s"] > 0
+    # the refused cases' residuals count towards the worst one
+    certified = max(entry["max_upper_residual"]["max"] for entry in summary["by_modes"].values())
+    assert summary["worst_upper_residual"] > certified
+
+
+def test_passive_batch_with_no_certified_case_reports_no_worst_mismatch(capsys):
+    # the one drawn case (3 modes) misses triangularity by rounding at
+    # --tol 0: no transfer mismatch was measured, so none stands as 0.0
+    argv = ["--count", "1", "--max-modes", "3", "--fields", "1", "--tol", "0"]
+    code = load_script("passive_batch").main(argv)
+    summary = finite_json(capsys.readouterr().out)
+    assert code == 1 and summary["ok"] is False and summary["uncertified"] == 1
+    assert summary["by_modes"] == {} and summary["worst_transfer_mismatch"] is None
+    assert summary["worst_upper_residual"] > 0.0
 
 
 def test_reference_example_runs_clean():

@@ -147,6 +147,8 @@ def main(argv=None):
         parser.error(f"--degenerate-fraction must lie in [0, 1], got {args.degenerate_fraction}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         parser.error(f"--tol must be a finite number at least 0, got {args.tol}")
+    if args.seed < 0:
+        parser.error(f"--seed must be an integer at least 0, got {args.seed}")
 
     summary = run_batch(args)
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .model import (
     DEFAULT_TOL,
-    DoubledStateSpace,
     PassiveForm,
     SlhSystem,
     build_state_space,
@@ -77,7 +76,6 @@ __all__ = [
     "CascadeSynthError",
     "ConvergenceFailure",
     "DEFAULT_TOL",
-    "DoubledStateSpace",
     "EquivalenceReport",
     "FieldCountMismatch",
     "NonHermitianRtilde",

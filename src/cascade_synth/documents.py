@@ -401,10 +401,6 @@ class RealizationDocument:
         # keep the checked encoding, not the caller's objects, which could still change
         object.__setattr__(self, "reports", json.loads(encoded))
 
-    @property
-    def n(self) -> int:
-        return len(self.stages)
-
     def to_chain(self) -> CascadeChain:
         """The cascade chain of the stages and the residual, built and
         checked once, on construction."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,14 +66,6 @@ def _mode_measures(k, r):
         np.maximum.reduce(np.maximum(k_size[..., 0::2], k_size[..., 1::2]), axis=-2, initial=0.0),
         np.maximum(r_size[..., 0::2], r_size[..., 1::2]),
     )
-
-
-def block_diag(a, b):
-    """The block-diagonal matrix diag(a, b) of two 2-d arrays."""
-    out = np.zeros(np.add(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def pair_blocks(a):
@@ -335,9 +328,9 @@ def _stages(s, k, r, unitarity, dropped) -> tuple[SlhSystem, ...]:
     return tuple(stages)
 
 
-@dataclass(frozen=True, eq=False)
-class DoubledStateSpace:
-    """State-space matrices of the doubled-up input-output dynamics.
+class DoubledStateSpace(NamedTuple):
+    """State-space matrices of the doubled-up input-output dynamics, as
+    build_state_space makes them: new arrays, locked, never copied.
 
     a is the real drift matrix of the canonical variables, b the complex
     input matrix for the doubled field vector (fields stacked over their
@@ -349,34 +342,6 @@ class DoubledStateSpace:
     b: ComplexMatrix
     c: ComplexMatrix
     d: ComplexMatrix
-
-    def __post_init__(self):
-        a = _as_real(self.a, "A")
-        b = _as_complex(self.b, "B")
-        c = _as_complex(self.c, "Cd")
-        d = _as_complex(self.d, "Dd")
-        nn = a.shape[0]
-        if a.shape != (nn, nn) or nn % 2:
-            raise ValueError(f"A must be square with even dimension, got {a.shape}")
-        mm = d.shape[0]
-        if d.shape != (mm, mm) or mm % 2:
-            raise ValueError(f"Dd must be square with even dimension, got {d.shape}")
-        if b.shape != (nn, mm):
-            raise ValueError(f"B must be {nn} x {mm}, got {b.shape}")
-        if c.shape != (mm, nn):
-            raise ValueError(f"Cd must be {mm} x {nn}, got {c.shape}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0] // 2
-
-    @property
-    def m(self) -> int:
-        return self.d.shape[0] // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,23 +393,30 @@ def drift_matrix(sys: SlhSystem) -> RealMatrix:
 
 
 def build_state_space(sys: SlhSystem) -> DoubledStateSpace:
-    """Assemble the doubled-up state-space matrices of a system.
+    """Assemble the doubled-up state-space matrices (A, B, Cd, Dd) of a system.
 
     A = 2 Theta (R + Im(K^dag K)),  B = 2i Theta [-K^dag S   K^T S^#],
     Cd = [K; K^#],  Dd = diag(S, S^#).  A is real by construction since
     Im(.) is taken entrywise; B satisfies B^# = B P where P swaps its two
     column halves, mirroring the conjugate structure of the doubled fields.
-    The system was checked when it was made, so nothing is checked here
-    but the scale of the drift (SlhSystem._drift), before A is formed.  A is
-    formed here only, for the general route of certify_equivalence and for
-    transfer_function.
+    The four arrays are new, made here from the checked system, and locked
+    as they are, not copied.  The scale of the drift (SlhSystem._drift) is
+    checked before A is formed, so A is finite, and so are Cd and Dd, as K
+    and S are.  B alone is tested for finiteness: -K^dag S sums m products
+    that can overflow where Im(K^dag K), which is all that _drift reads,
+    stays finite, as for a real K.  A is formed here only, for the general
+    route of certify_equivalence and for transfer_function.
     """
     sys._drift  # OverflowError when |A|_max is not finite
-    a = drift_matrix(sys)
     b = 2j * theta_times(np.hstack([-sys.k.conj().T @ sys.s, sys.k.T @ sys.s.conj()]))
+    if not np.isfinite(b).all():
+        raise ValueError("B contains non-finite entries")
+    m = sys.m
+    d = np.zeros((2 * m, 2 * m), dtype=complex)
+    d[:m, :m] = sys.s
+    d[m:, m:] = sys.s.conj()
     c = np.vstack([sys.k, sys.k.conj()])
-    d = block_diag(sys.s, sys.s.conj())
-    return DoubledStateSpace(a=a, b=b, c=c, d=d)
+    return DoubledStateSpace(*map(_readonly, (drift_matrix(sys), b, c, d)))
 
 
 def is_passive(sys: SlhSystem, tol=DEFAULT_TOL) -> bool:

@@ -56,10 +56,6 @@ class SymplecticTransform:
             raise ValueError(f"V must be square with even dimension, got {v.shape}")
         object.__setattr__(self, "v", v)
 
-    @property
-    def n(self) -> int:
-        return self.v.shape[0] // 2
-
 
 class PassiveRealization(NamedTuple):
     """Result of the passive synthesis pipeline: the transformed system with

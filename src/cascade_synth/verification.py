@@ -91,12 +91,14 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
     """Evaluate G(s) = Cd (sI - A)^{-1} B + Dd at a 1-d sequence of k complex
     frequencies and return the (k, 2m, 2m) stack of values.
 
-    A point that is not finite is a ValueError.  The resolvents are pivoted
-    linear solves, never explicit inverses.  The spectrum of A is computed
-    once; frequencies within 1e-8 |A|_max of it are rejected, the first such
-    point naming the error.  The margin is relative, so a point is refused
-    or evaluated alike at every scale of the system; with a zero drift only
-    the spectrum itself is refused.
+    ss is the record (A, B, Cd, Dd) that build_state_space returns, read as
+    it is: its arrays were made from a checked system and are not checked
+    again.  A point that is not finite is a ValueError.  The resolvents are
+    pivoted linear solves, never explicit inverses.  The spectrum of A is
+    computed once; frequencies within 1e-8 |A|_max of it are rejected, the
+    first such point naming the error.  The margin is relative, so a point
+    is refused or evaluated alike at every scale of the system; with a zero
+    drift only the spectrum itself is refused.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 1:
@@ -109,7 +111,7 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
         s, gap = complex(points[near[0]]), gaps[near[0]]
         raise ResolventSingular(f"s = {s} is within {gap:.3e} of the drift spectrum")
     try:
-        return _evaluate(ss.a, ss.b, ss.c, ss.d, points)
+        return _evaluate(*ss, points)
     except np.linalg.LinAlgError as exc:
         raise ResolventSingular("resolvent solve failed at one of the given points") from exc
 
@@ -223,8 +225,8 @@ def certify_equivalence(
         points = _draw(rng, n_samples, scale)
         v1, v2 = _passive_values(systems, np.concatenate([points, points.conj()]))
     else:
-        pair = [(ss.a, ss.b, ss.c, ss.d) for ss in map(build_state_space, systems)]
-        spectrum = np.concatenate([np.linalg.eigvals(a) for a, _, _, _ in pair])
+        pair = list(map(build_state_space, systems))
+        spectrum = np.concatenate([np.linalg.eigvals(ss.a) for ss in pair])
         points = _accepted_points(rng, n_samples, scale, spectrum)
         v1, v2 = _evaluate(*(np.array(mats) for mats in zip(*pair)), points)
     # a passive sample i is G_-(s_i) and G_-(conj s_i)^#; the conjugate moves no max-norm
@@ -241,7 +243,7 @@ def certify_equivalence(
     )
 
 
-def certify_symplectic(v, tol: float = 1e-9) -> bool:
+def certify_symplectic(v, tol: float = DEFAULT_TOL) -> bool:
     """True when the real matrix V preserves the symplectic form within
     tolerance: its ccr_preservation residual |V Theta V^T - Theta|_max is at
     most tol.  V is checked as SymplecticTransform checks it, so a V that is

@@ -15,9 +15,9 @@ import hashlib
 import json
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from cascade_synth import SlhSystem
-from cascade_synth.model import block_diag
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

@@ -478,6 +478,8 @@ class TestRealizationDocument:
 
     def test_rejects_bad_digest_type(self):
         assert self.parse(lambda d: d.update(input_digest=7)).path == "$.input_digest"
+        with pytest.raises(ValueError, match="input_digest must be a string"):
+            RealizationDocument(input_digest=7, stages=self.build().stages)
 
     def test_rejects_bad_reports(self):
         assert self.parse(lambda d: d.update(reports=[1])).path == "$.reports"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascade_synth
 from cascade_synth import (
     NonHermitianRtilde,
     NonSymmetricR,
@@ -149,6 +150,9 @@ class TestSlhSystem:
             SlhSystem(s=np.eye(2), k=np.zeros((2, 2)), r=np.zeros((4, 4)))
         with pytest.raises(ValueError):
             SlhSystem(s=np.eye(1), k=np.zeros((1, 3)), r=np.zeros((3, 3)))
+        # a 1 x 2 S of ones has S^dag S - I = 0 by broadcasting
+        with pytest.raises(ValueError, match="S must be square"):
+            SlhSystem(s=np.ones((1, 2)), k=np.zeros((1, 2)), r=np.zeros((2, 2)))
 
     def test_complex_r_rejected(self):
         with pytest.raises(ValueError):
@@ -242,6 +246,21 @@ class TestBuildStateSpace:
     def test_drift_matrix_shortcut_matches(self):
         sys = random_system(2, 2, 3)
         assert np.array_equal(drift_matrix(sys), build_state_space(sys).a)
+
+    def test_is_a_locked_record(self):
+        # n = 3 and m = 1 give the four matrices four different shapes
+        sys = random_system(3, 1, 4)
+        ss = build_state_space(sys)
+        a, b, c, d = ss
+        assert [x.shape for x in ss] == [(6, 6), (6, 2), (2, 6), (2, 2)]
+        assert all(x is y for x, y in zip((a, b, c, d), (ss.a, ss.b, ss.c, ss.d)))
+        assert np.array_equal(a, drift_matrix(sys))
+        assert np.array_equal(c, np.vstack([sys.k, sys.k.conj()]))
+        assert np.array_equal(d, np.diag([sys.s[0, 0], sys.s[0, 0].conj()]))
+        for x in ss:
+            with pytest.raises(ValueError):
+                x[0, 0] = 1.0
+        assert "DoubledStateSpace" not in cascade_synth.__all__
 
     def test_invalid_inputs_raise(self):
         good = random_system(1, 1, 5)
@@ -747,6 +766,18 @@ class TestPassiveFormMaps:
     def test_offset_is_quarter_trace(self, reference_system):
         pf = to_passive_form(reference_system)
         assert pf.offset == pytest.approx(np.trace(pf.r_tilde).real / 4)
+
+    @pytest.mark.parametrize(
+        "r_tilde, k_tilde, message",
+        [
+            (np.zeros((2, 3)), np.zeros((1, 2)), "R_tilde must be square"),
+            (np.zeros((2, 2)), np.zeros((1, 3)), "K_tilde must have 2 columns"),
+        ],
+        ids=["R_tilde-not-square", "K_tilde-too-wide"],
+    )
+    def test_shape_mismatch_rejected(self, r_tilde, k_tilde, message):
+        with pytest.raises(ValueError, match=message):
+            PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde)
 
     def test_not_passive_raises(self):
         sys = SlhSystem(s=np.eye(1), k=np.array([[1.0, 0.0]]), r=np.zeros((2, 2)))

@@ -297,6 +297,10 @@ class TestBuildSymplectic:
         with pytest.raises(NonUnitaryInput):
             build_symplectic(2.0 * np.eye(3, dtype=complex))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="U must be square"):
+            build_symplectic(np.eye(2, 3, dtype=complex))
+
 
 def transform_system(sys, v):
     """(S, K V^T, (X + X^T)/2 for X = V R V^T): the change of variables

@@ -77,6 +77,7 @@ def test_passive_batch_names_a_failed_chain(capsys, monkeypatch):
         (["--tol", "-1"], "--tol"),
         (["--tol", "nan"], "--tol"),
         (["--tol", "inf"], "--tol"),
+        (["--seed", "-1"], "--seed"),
     ],
 )
 def test_passive_batch_refuses_meaningless_arguments(capsys, argv, flag):

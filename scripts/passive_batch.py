@@ -18,7 +18,11 @@ transfer mismatch over the certified cases (null when none certified), the
 throughput (cases_per_s) and, for each mode count n, the p50, p95 and max
 over the certified cases of the transfer mismatch, of the upper-block
 residual, and of the seconds each case spent in passive_realize
-(realize_s) and in its certification (certify_s), in by_modes.
+(realize_s) and in its certification (certify_s), in by_modes.  The
+transfer mismatch is the certificate's max_rel_mismatch: every case is a
+passive pair, so it is the bound |F1 - F2|_F + |S1 - S2|_F on
+|G1 - G2|_max at the samples (see certify_equivalence), not a measured
+difference of transfer functions.
 
     python scripts/passive_batch.py --count 500 --max-modes 6 --seed 7
 """

@@ -39,12 +39,18 @@ STACK_ENTRIES = 2**16
 class EquivalenceReport:
     """Result of randomized transfer-function comparison.
 
-    max_rel_mismatch is the worst per-sample mismatch, each normalized by
-    max(1, |G(s)|_max); verdict iff max_rel_mismatch <= tolerance.  The seed
-    makes the sample set, and hence the report, reproducible.  vacuous is
-    true when the systems have no fields (m = 0): their transfer functions
-    are then 0 x 0, so the verdict holds for any two systems with the same
-    mode count and says nothing about them.
+    max_rel_mismatch is the worst per-sample mismatch of the doubled-up
+    transfer functions, and verdict iff max_rel_mismatch <= tolerance.  On
+    the passive route it is a bound, max over s and conj(s) of
+    |F1 - F2|_F + |S1 - S2|_F, at least |G1 - G2|_max at every sample; there
+    |G|_2 <= 1, so it is absolute and relative at once, and a pair that
+    differs by less than the tolerance, but not by much less, can fail.  On
+    the general route it is |G1 - G2|_max / max(1, |G1|_max), measured (see
+    certify_equivalence).  The seed makes the sample set, and hence the
+    report, reproducible.  vacuous is true when the systems have no fields
+    (m = 0): their transfer functions are then 0 x 0, so the verdict holds
+    for any two systems with the same mode count and says nothing about
+    them.
     """
 
     max_rel_mismatch: float
@@ -116,26 +122,24 @@ def transfer_function(ss: DoubledStateSpace, points) -> np.ndarray:
         raise ResolventSingular("resolvent solve failed at one of the given points") from exc
 
 
-def _passive_values(systems, points) -> np.ndarray:
-    """Return the (len(systems), k, m, m) stack of
-    G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S at the k points, with
-    2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde, in the Cayley form
-    4 (2I + F(s))^{-1} S - S that Woodbury gives, where
-    F(s) = B diag(1 / (s + i lambda_j / 2)) B^dag, B = k_tilde W and
-    r_tilde = W diag(lambda) W^dag: one stacked Hermitian eigendecomposition
-    for all systems, then per point an O(n m^2) product and one m x m
-    solve.  The outer products of the columns of B are formed once per
-    system, so F at all points is one (k, n) @ (n, m^2) product."""
+def _lossless_coupling(systems, points) -> np.ndarray:
+    """Return the (len(systems), k, m, m) stack of the lossless coupling
+    function F(s) = k_tilde (sI + (i/2) r_tilde)^{-1} k_tilde^dag at the k
+    points, as F(s) = B diag(1 / (s + i lambda_j / 2)) B^dag with
+    B = k_tilde W and r_tilde = W diag(lambda) W^dag: one stacked Hermitian
+    eigendecomposition for all systems, then per point an O(n m^2) product
+    and no solve.  The outer products of the columns of B are formed once
+    per system, so F at all points is one (k, n) @ (n, m^2) product.  The
+    annihilation block of the transfer function is its Cayley transform,
+    G_-(s) = (2I - F(s)) (2I + F(s))^{-1} S."""
     k_tilde = np.array([x._reduction.k_tilde for x in systems])
     r_tilde = np.array([x._reduction.r_tilde for x in systems])
-    s = np.array([x.s for x in systems])[:, None]
     lam, w = np.linalg.eigh(r_tilde)
     b = np.swapaxes(k_tilde @ w, 1, 2)
     count, n, m = b.shape
     outer = (b[..., :, None] * b[..., None, :].conj()).reshape(count, n, m * m)
     f = (1.0 / (points[:, None] + 0.5j * lam[:, None, :])) @ outer
-    x = np.linalg.solve(f.reshape(count, len(points), m, m) + 2.0 * np.eye(m), s)
-    return 4.0 * x - s
+    return f.reshape(count, len(points), m, m)
 
 
 def _in_annihilation_variables(sys: SlhSystem, eps) -> bool:
@@ -180,36 +184,44 @@ def certify_equivalence(
     when both drifts are zero; |A|_max = 2 |R + Im(K^dag K)|_max, as Theta is
     a signed permutation.  There is no unit floor on the scale, so samples
     sit among the poles at every scale of the systems, which were checked
-    when they were made.  G is evaluated at all samples for both systems of
-    the pair at once, by one of two routes:
+    when they were made.  Both systems of the pair are compared at all
+    samples at once, by one of two routes:
 
     - Passive pair: when both systems drop at most eps = tol/100 of |K|_max
       and |R|_max, relative and with no floor, on reduction to annihilation
       variables, and R is symmetric to the same eps,
-      G(s) = diag(G_-(s), G_-(conj s)^#) with
-      G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S in its Cayley form
-      4 (2I + F(s))^{-1} S - S, F(s) = B diag(1 / (s + i lambda_j / 2)) B^dag
-      with B = k_tilde W and r_tilde = W diag(lambda) W^dag: one Hermitian
-      eigendecomposition per system and one m x m solve per sample (see
-      _passive_values).  Every sample has Re s >= scale/2 > 0, so each
-      s + i lambda_j / 2 is nonzero and F + F^dag is positive semidefinite,
-      hence |(2I + F)^{-1}|_2 <= 1/2 at every scale: no sample can sit near
-      a pole, and none is tested against a spectrum.  The eigendecomposition
-      reads only the lower triangle of r_tilde.  That drops nothing when R
-      is exactly symmetric, as the strided reduction then gives an exactly
-      Hermitian r_tilde, and otherwise only the asymmetry of R, which this
-      route's condition bounds by eps |R|_max.
+      G(s) = diag(G_-(s), G_-(conj s)^#) with G_-(s) = C(s) S, the Cayley
+      transform C = (2I - F)(2I + F)^{-1} of the lossless coupling
+      F(s) = k_tilde (sI + (i/2) r_tilde)^{-1} k_tilde^dag (see
+      _lossless_coupling): one Hermitian eigendecomposition per system and
+      no solve.  Every sample has Re s >= scale/2 > 0, so F + F^dag is
+      positive semidefinite, |(2I + F)^{-1}|_2 <= 1/2 and |C|_2 <= 1 at
+      every scale, and no sample can sit near a pole.  Then
+      C1 - C2 = 4 (2I + F1)^{-1} (F2 - F1) (2I + F2)^{-1}, so
+      |G1 - G2|_2 <= |F1 - F2|_2 |S1|_2 + |C2|_2 |S1 - S2|_2
+      <= |F1 - F2|_F + |S1 - S2|_F, up to the unitarity residual of S1.
+      The mismatch reported is that bound, the larger at s and conj(s), and
+      it bounds |G1 - G2|_max: a true verdict proves that the transfer
+      functions agree to tol at every sample, without evaluating them.  The
+      eigendecomposition reads only the lower triangle of r_tilde.  That
+      drops nothing when R is exactly symmetric, as the strided reduction
+      then gives an exactly Hermitian r_tilde, and otherwise only the
+      asymmetry of R, which this route's condition bounds by eps |R|_max.
     - Any other pair: G(s) = Cd (sI - A)^{-1} B + Dd on the 2n x 2n
       quadrature state space, one stacked solve over the pair, and samples
       within 1e-6*scale of either drift spectrum are rejected and redrawn.
+      The mismatch reported is measured, |G1 - G2|_max / max(1, |G1|_max).
 
     The check is probabilistic: G has McMillan degree up to 2n, and
     agreement at the sampled points (and at infinity, through the D term)
     bounds the mismatch only at those points.  Raises ValueError when
-    n_samples < 1, since no samples would certify anything.
+    n_samples < 1, since no samples would certify anything, and when tol is
+    not a finite number at least 0, since it would then bound nothing.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number at least 0, got {tol!r}")
     if g.n != g2.n or g.m != g2.m:
         raise ValueError(
             f"systems must share mode and field counts, got "
@@ -223,16 +235,14 @@ def certify_equivalence(
     eps = tol / 100.0
     if all(_in_annihilation_variables(x, eps) for x in systems):
         points = _draw(rng, n_samples, scale)
-        v1, v2 = _passive_values(systems, np.concatenate([points, points.conj()]))
+        f1, f2 = _lossless_coupling(systems, np.concatenate([points, points.conj()]))
+        worst = float(np.linalg.norm(f1 - f2, axis=(-2, -1)).max() + np.linalg.norm(g.s - g2.s))
     else:
         pair = list(map(build_state_space, systems))
         spectrum = np.concatenate([np.linalg.eigvals(ss.a) for ss in pair])
         points = _accepted_points(rng, n_samples, scale, spectrum)
         v1, v2 = _evaluate(*(np.array(mats) for mats in zip(*pair)), points)
-    # a passive sample i is G_-(s_i) and G_-(conj s_i)^#; the conjugate moves no max-norm
-    mismatch = stack_max(v1 - v2).reshape(-1, n_samples).max(axis=0)
-    size = stack_max(v1).reshape(-1, n_samples).max(axis=0)
-    worst = float((mismatch / np.maximum(1.0, size)).max())
+        worst = float((stack_max(v1 - v2) / np.maximum(1.0, stack_max(v1))).max())
     return EquivalenceReport(
         max_rel_mismatch=worst,
         samples_used=n_samples,

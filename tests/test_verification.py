@@ -36,7 +36,7 @@ from cascade_synth.sampling import (
     random_unitary,
 )
 from cascade_synth import verification
-from cascade_synth.verification import _evaluate, _passive_values
+from cascade_synth.verification import _evaluate, _lossless_coupling
 
 import reference_data as ref
 
@@ -177,9 +177,9 @@ class TestCertifyEquivalence:
         points = rng.uniform(0.5, 2.0, 6) + 1j * rng.uniform(-2.0, 2.0, 6)
         for n, m in ((1, 1), (4, 2), (6, 4), (3, 0), (0, 2), (64, 4)):
             pair = [random_passive_system(n, m, seed) for seed in (n, n + 1)]
-            values = _passive_values(pair, points)
+            values = _lossless_coupling(pair, points)
             for i, sys in enumerate(pair):
-                assert values[i].tobytes() == _passive_values([sys], points)[0].tobytes()
+                assert values[i].tobytes() == _lossless_coupling([sys], points)[0].tobytes()
 
     def test_reference_against_printed_realization(self, reference_system):
         printed = SlhSystem(
@@ -258,6 +258,14 @@ class TestCertifyEquivalence:
         with pytest.raises(ScatteringMismatch):
             certify_equivalence(sys, other)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a negative tolerance refuses identical systems, a NaN one
+        # certifies nothing and an infinite one everything
+        for sys in (random_passive_system(3, 2, 1), random_system(3, 2, 1)):
+            with pytest.raises(ValueError, match="tol must be a finite number at least 0"):
+                certify_equivalence(sys, sys, tol=tol)
+
 
 def scaled_form(pf, c):
     """pf with R_tilde scaled by c and K_tilde by sqrt(c)."""
@@ -269,10 +277,16 @@ def scaled_passive(seed, c, s):
     return from_passive_form(scaled_form(random_passive_form(6, 3, seed), c), s)
 
 
+def cayley(f, s):
+    """G_- = (2I - F)(2I + F)^{-1} S for a stack f of F(s), as 4 (2I + F)^{-1} S - S."""
+    return 4.0 * np.linalg.solve(f + 2.0 * np.eye(s.shape[0]), np.broadcast_to(s, f.shape)) - s
+
+
 def passive_route_values(sys, points):
-    """The doubled-up G that the passive route builds, diag(G_-(s), G_-(conj s)^#)."""
+    """The doubled-up G that the passive route's F gives, diag(G_-(s), G_-(conj s)^#)."""
     both = np.concatenate([points, points.conj()])
-    minus = _passive_values([sys], both)[0].reshape(2, len(points), sys.m, sys.m)
+    f = _lossless_coupling([sys], both)[0]
+    minus = cayley(f, sys.s).reshape(2, len(points), sys.m, sys.m)
     values = np.zeros((len(points), 2 * sys.m, 2 * sys.m), dtype=complex)
     values[:, : sys.m, : sys.m] = minus[0]
     values[:, sys.m :, sys.m :] = minus[1].conj()
@@ -323,13 +337,127 @@ class TestCertificationRoutes:
             assert report.samples_used == 5
 
 
-def annihilation_oracle(pf, s, points):
-    """G_-(s) = S - k_tilde (sI - 2M)^{-1} k_tilde^dag S one point at a time,
-    with 2-d solves, for 2M = -(i/2) r_tilde - (1/2) k_tilde^dag k_tilde."""
+def doubled_oracle(sys, points):
+    """The doubled-up G(s) = Cd (sI - A)^{-1} B + Dd of a system, built
+    densely from the loop-built Theta and solved one point at a time:
+    A = 2 Theta (R + Im(K^dag K)), B = 2i Theta [-K^dag S, K^T S^#],
+    Cd = [K; K^#], Dd = diag(S, S^#)."""
+    from scipy.linalg import block_diag
+
+    th = ref.symplectic_form(sys.n)
+    k, s = sys.k, sys.s
+    a = 2.0 * th @ (sys.r + np.imag(k.conj().T @ k))
+    b = 2j * th @ np.hstack([-k.conj().T @ s, k.T @ s.conj()])
+    c = np.vstack([k, k.conj()])
+    d = block_diag(s, s.conj())
+    eye = np.eye(2 * sys.n)
+    return np.array([c @ np.linalg.solve(p * eye - a, b) + d for p in points])
+
+
+def certified_samples(pair, n_samples=20, seed=0):
+    """The sample points certify_equivalence draws for pair."""
+    scale = max(x._drift[1] for x in pair) or 1.0
+    return verification._draw(np.random.default_rng(seed), n_samples, scale)
+
+
+def realized_pairs():
+    """(input, transformed system) of passive realizations: n = 1..6, one to
+    four fields, generic and degenerate spectra, a defective mode matrix,
+    at scales from 1e-8 to 1e8."""
+    rng = np.random.default_rng(71)
+    systems = [random_passive_system(n, 1 + n % 4, rng, degenerate=n % 3 == 0) for n in range(1, 7)]
+    r_tilde, k_tilde = ref.defective_passive_form(3, random_unitary(3, rng))
+    pf = PassiveForm(r_tilde=(r_tilde + r_tilde.conj().T) / 2, k_tilde=k_tilde)
+    systems.append(from_passive_form(pf, random_unitary(3, rng)))
+    for c in (1e-8, 1e8):
+        systems.append(scaled_passive(int(rng.integers(100)), c, random_unitary(3, rng)))
+    return [(sys, passive_realize(sys).system) for sys in systems]
+
+
+def perturbed(target, where):
+    """target with one stage coupling, or one R_tilde entry, moved by 1e-6
+    relative, on the stage j with the largest coupling: column j of K_tilde
+    scaled by 1 + 1e-6, or R_tilde[j, j] moved by 1e-6 |R_tilde|_max."""
+    pf = target._reduction
+    k_tilde, r_tilde = np.array(pf.k_tilde), np.array(pf.r_tilde)
+    j = np.argmax(np.linalg.norm(k_tilde, axis=0))
+    if where == "stage":
+        k_tilde[:, j] *= 1.0 + 1e-6
+    else:
+        r_tilde[j, j] += 1e-6 * max_abs(r_tilde)
+    return from_passive_form(PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde), target.s)
+
+
+def scaled(sys, c):
+    """sys with R scaled by c and K by sqrt(c)."""
+    return SlhSystem(s=sys.s, k=np.sqrt(c) * sys.k, r=c * sys.r)
+
+
+class TestPassivePairBound:
+    """The passive route reports max |F1 - F2|_F + |S1 - S2|_F over the
+    samples and their conjugates, a bound on |G1 - G2|_max there, with no
+    solve."""
+
+    @pytest.mark.parametrize("where", [None, "stage", "r_tilde"])
+    def test_bound_covers_dense_oracle(self, where):
+        # the bound is at least the dense doubled-up mismatch at the
+        # certificate's own samples; an equivalent pair certifies, and one
+        # whose stage coupling or R_tilde entry moved by 1e-6 fails
+        for sys, target in realized_pairs():
+            other = target if where is None else perturbed(target, where)
+            pair = (sys, other)
+            assert all(verification._in_annihilation_variables(x, 1e-10) for x in pair)
+            report = certify_equivalence(*pair)
+            points = certified_samples(pair)
+            oracle = max_abs(doubled_oracle(sys, points) - doubled_oracle(other, points))
+            assert report.max_rel_mismatch >= oracle - 1e-13
+            assert report.verdict is (where is None)
+            if where is None:
+                assert report.max_rel_mismatch <= 1e-13
+            else:
+                assert oracle > report.tolerance
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_scaling_keeps_verdict_and_bound(self, c):
+        # (cR, sqrt(c) K) scales the drift and the samples by c, where F is
+        # unchanged
+        for sys, target in realized_pairs()[:4]:
+            for pair in ((sys, target), (sys, perturbed(target, "stage"))):
+                base = certify_equivalence(*pair)
+                report = certify_equivalence(*(scaled(x, c) for x in pair))
+                assert report.verdict is base.verdict
+                assert abs(report.max_rel_mismatch - base.max_rel_mismatch) <= 1e-13
+
+    def test_unitary_change_of_mode_basis_keeps_verdict(self):
+        rng = np.random.default_rng(72)
+        for sys, target in realized_pairs():
+            v = build_symplectic(random_unitary(sys.n, rng)).v
+            for other in (target, perturbed(target, "r_tilde")):
+                base = certify_equivalence(sys, other)
+                assert certify_equivalence(transform_system(sys, v), other).verdict is base.verdict
+                assert certify_equivalence(sys, transform_system(other, v)).verdict is base.verdict
+
+    def test_passive_route_solves_nothing(self, monkeypatch):
+        sys, target = realized_pairs()[3]
+        general = random_system(3, 2, 73)
+        moved = transform_system(general, random_symplectic_orthogonal(3, 74))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(verification.np.linalg, "solve", refused)
+        assert certify_equivalence(sys, target).verdict
+        assert not certify_equivalence(sys, perturbed(target, "stage")).verdict
+        with pytest.raises(AssertionError, match="solve called"):
+            certify_equivalence(general, moved)
+
+
+def coupling_oracle(pf, points):
+    """F(s) = k_tilde (sI + (i/2) r_tilde)^{-1} k_tilde^dag one point at a
+    time, with dense 2-d solves."""
     k_tilde, k_dag = pf.k_tilde, pf.k_tilde.conj().T
-    two_m = -0.5j * pf.r_tilde - 0.5 * k_dag @ k_tilde
     eye = np.eye(pf.n)
-    return np.array([s - k_tilde @ np.linalg.solve(p * eye - two_m, k_dag @ s) for p in points])
+    return np.array([k_tilde @ np.linalg.solve(p * eye + 0.5j * pf.r_tilde, k_dag) for p in points])
 
 
 class TestPassiveKernel:
@@ -337,7 +465,8 @@ class TestPassiveKernel:
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
     def test_matches_loop_oracle(self, n, m):
         # at every scale, with repeated eigenvalues of R_tilde and without;
-        # |G_-| <= 1, so the bound is absolute
+        # F is scale-invariant at the scaled samples, so the bound is
+        # relative to max(1, |F|_max) at every scale
         rng = np.random.default_rng(10 * n + m)
         for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
             for degenerate in (False, True):
@@ -345,22 +474,31 @@ class TestPassiveKernel:
                 sys = from_passive_form(pf, random_unitary(m, rng))
                 points = verification._draw(rng, 6, sys._drift[1] or 1.0)
                 points = np.concatenate([points, points.conj()])
-                values = _passive_values([sys], points)[0]
+                values = _lossless_coupling([sys], points)[0]
                 assert values.shape == (12, m, m)
-                assert max_abs(values - annihilation_oracle(pf, sys.s, points)) <= 1e-12
+                oracle = coupling_oracle(pf, points)
+                assert max_abs(values - oracle) <= 1e-12 * max(1.0, max_abs(oracle))
 
     @given(st.integers(0, 6), st.integers(1, 4), seeds, st.floats(-8.0, 8.0))
     @settings(max_examples=40, deadline=None)
     def test_bounded_real(self, n, m, seed, log_c):
-        # a passive G_- is bounded-real: |G_-(s)|_2 <= 1 wherever Re s > 0
+        # F is positive-real wherever Re s > 0: F + F^dag is positive
+        # semidefinite, so |(2I + F)^{-1}|_2 <= 1/2 and its Cayley transform
+        # G_- is bounded-real, |G_-(s)|_2 <= 1, the premises of the bound
+        # the passive route reports
         rng = np.random.default_rng(seed)
         c = 10.0**log_c
         pf = scaled_form(random_passive_form(n, m, rng), c)
         sys = from_passive_form(pf, random_unitary(m, rng))
         sigma = 10.0 ** rng.uniform(-3.0, 1.0, 16)
         points = c * (sigma + 1j * rng.uniform(-4.0, 4.0, 16))
-        values = _passive_values([sys], points)[0]
-        assert np.linalg.norm(values, 2, axis=(1, 2)).max() <= 1.0 + 1e-12
+        f = _lossless_coupling([sys], points)[0]
+        hermitian = f + f.conj().swapaxes(1, 2)
+        size = np.linalg.norm(f, 2, axis=(1, 2))
+        assert (np.linalg.eigvalsh(hermitian).min(axis=1, initial=0.0) >= -1e-12 * size).all()
+        inverse = np.linalg.inv(f + 2.0 * np.eye(m))
+        assert np.linalg.norm(inverse, 2, axis=(1, 2)).max() <= 0.5 + 1e-12
+        assert np.linalg.norm(cayley(f, sys.s), 2, axis=(1, 2)).max() <= 1.0 + 1e-12
 
 
 def evaluate_oracle(a, b, c, d, points):

@@ -20,9 +20,9 @@ over the certified cases of the transfer mismatch, of the upper-block
 residual, and of the seconds each case spent in passive_realize
 (realize_s) and in its certification (certify_s), in by_modes.  The
 transfer mismatch is the certificate's max_rel_mismatch: every case is a
-passive pair, so it is the bound |F1 - F2|_F + |S1 - S2|_F on
-|G1 - G2|_max at the samples (see certify_equivalence), not a measured
-difference of transfer functions.
+passive pair, so for a case that certifies it is the bound
+|F1 - F2|_F + |S1 - S2|_F on |G1 - G2|_max at the samples, and otherwise
+the measured |G1 - G2|_max / max(1, |G1|_max) (see certify_equivalence).
 
     python scripts/passive_batch.py --count 500 --max-modes 6 --seed 7
 """

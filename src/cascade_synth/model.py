@@ -181,8 +181,7 @@ class SlhSystem:
     preset with the residuals and passivity figures they are judged by; the
     transformed system of passive_realize and the collapse of cascade,
     whose unitarity residual can add up those of its stages, hold the
-    arrays computed for them, locked, and the former, for an input that
-    drops nothing, its per-mode measures in closed form.
+    arrays computed for them, locked.
     """
 
     s: ComplexMatrix

@@ -187,12 +187,8 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     passive: coupling (k'_j/2, i k'_j/2), Hamiltonian (r'_jj/4) I.  What an
     input passive only within tol drops is rotated by U^T and expanded
     along (see _creation), so the transformed system stays the input's
-    similarity.  For an input that drops nothing, the transformed system's
-    per-mode measures (SlhSystem._per_mode) are preset in closed form, bit
-    for bit those of its expansion: it drops nothing, and its norms are the
-    column maxima of |k'_j|/2 and max(|Re r'_jl|, |Im r'_jl|)/4, so neither
-    the split nor the certificate measures it.  V = realify(U) is not
-    tested here; ccr_preservation measures it.
+    similarity.  V = realify(U) is not tested here; ccr_preservation
+    measures it.
     """
     pf = to_passive_form(sys, tol)
     u, _ = schur_lower(mode_matrix(pf))
@@ -200,30 +196,14 @@ def passive_realize(sys: SlhSystem, tol=DEFAULT_TOL) -> PassiveRealization:
     x = u @ pf.r_tilde @ u_dag
     r_tilde, k_tilde = _readonly((x + x.conj().T) / 2), _readonly(pf.k_tilde @ u_dag)
     rotated = _unchecked(PassiveForm, r_tilde=r_tilde, k_tilde=k_tilde)
-    creation, measures = None, {}
+    creation = None
     if any(sys._passivity[:2]):
         k_c, r_c = _creation(sys)
         y = u @ r_c @ u.T
         creation = (k_c @ u.T, (y + y.T) / 2)
     k, r = map(_readonly, _expansion(rotated, creation))
-    if creation is None:
-        # _mode_measures of the expansion, bit for bit: column pair j of K is
-        # (k'_j/2, i k'_j/2) and block (j, l) of R is realify(r'_jl)/4
-        k_max = np.maximum.reduce(np.abs(k[:, 0::2]), axis=0, initial=0.0)
-        r_max = np.maximum(np.abs(r_tilde.real), np.abs(r_tilde.imag)) / 4.0
-        top = [float(np.maximum.reduce(a, axis=None, initial=0.0)) for a in (k_max, r_max)]
-        measures = {
-            "_per_mode": (np.zeros(pf.n), np.zeros((pf.n, pf.n)), k_max, r_max),
-            "_dropped": (0.0, 0.0, *top),
-        }
     transformed = _unchecked(
-        SlhSystem,
-        s=sys.s,
-        k=k,
-        r=r,
-        _defects=(sys._defects[0], 0.0),
-        _reduction=rotated,
-        **measures,
+        SlhSystem, s=sys.s, k=k, r=r, _defects=(sys._defects[0], 0.0), _reduction=rotated
     )
     return PassiveRealization(
         system=transformed,

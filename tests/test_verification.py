@@ -374,17 +374,19 @@ def realized_pairs():
     return [(sys, passive_realize(sys).system) for sys in systems]
 
 
-def perturbed(target, where):
-    """target with one stage coupling, or one R_tilde entry, moved by 1e-6
-    relative, on the stage j with the largest coupling: column j of K_tilde
-    scaled by 1 + 1e-6, or R_tilde[j, j] moved by 1e-6 |R_tilde|_max."""
+def perturbed(target, where, size=1e-6, j=None):
+    """target with one stage coupling, or one R_tilde entry, moved by size
+    relative, on stage j, by default the stage with the largest coupling:
+    column j of K_tilde scaled by 1 + size, or R_tilde[j, j] moved by
+    size |R_tilde|_max."""
     pf = target._reduction
     k_tilde, r_tilde = np.array(pf.k_tilde), np.array(pf.r_tilde)
-    j = np.argmax(np.linalg.norm(k_tilde, axis=0))
+    if j is None:
+        j = np.argmax(np.linalg.norm(k_tilde, axis=0))
     if where == "stage":
-        k_tilde[:, j] *= 1.0 + 1e-6
+        k_tilde[:, j] *= 1.0 + size
     else:
-        r_tilde[j, j] += 1e-6 * max_abs(r_tilde)
+        r_tilde[j, j] += size * max_abs(r_tilde)
     return from_passive_form(PassiveForm(r_tilde=r_tilde, k_tilde=k_tilde), target.s)
 
 
@@ -393,16 +395,25 @@ def scaled(sys, c):
     return SlhSystem(s=sys.s, k=np.sqrt(c) * sys.k, r=c * sys.r)
 
 
+def pair_bound(pair):
+    """max |F1 - F2|_F + |S1 - S2|_F over the certificate's samples and their
+    conjugates."""
+    points = certified_samples(pair)
+    f = _lossless_coupling(pair, np.concatenate([points, points.conj()]))
+    return np.linalg.norm(f[0] - f[1], axis=(-2, -1)).max() + np.linalg.norm(pair[0].s - pair[1].s)
+
+
 class TestPassivePairBound:
     """The passive route reports max |F1 - F2|_F + |S1 - S2|_F over the
     samples and their conjugates, a bound on |G1 - G2|_max there, with no
-    solve."""
+    solve when it is at most tol, and measures |G1 - G2|_max otherwise."""
 
     @pytest.mark.parametrize("where", [None, "stage", "r_tilde"])
     def test_bound_covers_dense_oracle(self, where):
-        # the bound is at least the dense doubled-up mismatch at the
-        # certificate's own samples; an equivalent pair certifies, and one
-        # whose stage coupling or R_tilde entry moved by 1e-6 fails
+        # the mismatch reported, the bound or the measure, is at least the
+        # dense doubled-up mismatch at the certificate's own samples; an
+        # equivalent pair certifies, and one whose stage coupling or R_tilde
+        # entry moved by 1e-6 fails
         for sys, target in realized_pairs():
             other = target if where is None else perturbed(target, where)
             pair = (sys, other)
@@ -447,9 +458,33 @@ class TestPassivePairBound:
 
         monkeypatch.setattr(verification.np.linalg, "solve", refused)
         assert certify_equivalence(sys, target).verdict
-        assert not certify_equivalence(sys, perturbed(target, "stage")).verdict
+        # a pair the bound cannot certify is measured, as is a general pair
+        with pytest.raises(AssertionError, match="solve called"):
+            certify_equivalence(sys, perturbed(target, "stage"))
         with pytest.raises(AssertionError, match="solve called"):
             certify_equivalence(general, moved)
+
+    @pytest.mark.parametrize(
+        "index, where, size, j",
+        [
+            (0, "r_tilde", 1e-7, 0),
+            (2, "stage", 3e-8, 2),
+            (6, "r_tilde", 1e-7, 0),
+            (7, "r_tilde", 3e-8, 5),
+        ],
+    )
+    def test_pair_agreeing_to_tol_certifies(self, index, where, size, j):
+        # the pair differs by between tol/20 and tol, but its bound exceeds
+        # tol: the route measures G, reports the dense oracle's mismatch and
+        # certifies the pair
+        sys, target = realized_pairs()[index]
+        pair = (sys, perturbed(target, where, size, j))
+        report = certify_equivalence(*pair)
+        points = certified_samples(pair)
+        oracle = max_abs(doubled_oracle(pair[0], points) - doubled_oracle(pair[1], points))
+        assert report.tolerance / 20 < oracle < report.tolerance < pair_bound(pair)
+        assert report.verdict
+        assert abs(report.max_rel_mismatch - oracle) <= 1e-13
 
 
 def coupling_oracle(pf, points):
